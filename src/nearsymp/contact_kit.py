@@ -61,7 +61,12 @@ class StabilizationPlan:
         return (self.p - self.q) + (self.r - self.s)
 
     def replay(self, start: LegendrianState) -> LegendrianState:
-        """Apply the plan via repeated connected sum with the generators."""
+        """Apply the plan via connected sum with the generators.
+
+        Each count is added by binary doubling: the powers gen, gen # gen,
+        ... are built with ``connect_sum`` and the ones the count's bits
+        select are summed in, so a count n costs O(log n) connected sums.
+        """
         state = start
         for gen, count in (
             (GEN_P, self.p),
@@ -69,8 +74,13 @@ class StabilizationPlan:
             (GEN_R, self.r),
             (GEN_S, self.s),
         ):
-            for _ in range(count):
-                state = connect_sum(state, gen)
+            power = gen
+            while count:
+                if count & 1:
+                    state = connect_sum(state, power)
+                count >>= 1
+                if count:
+                    power = connect_sum(power, power)
         return state
 
 

@@ -134,10 +134,11 @@ class Metric4:
 def smooth_step(u):
     """C-infinity step: 0 for u <= 0, 1 for u >= 1, strictly increasing
     in between, flat to all orders at both ends."""
-    u = np.clip(u, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(u > 0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
-        b = np.where(u < 1, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
+    # every divisor is at least 1e-300 and every exp argument is <= 0, so
+    # nothing here divides by zero or overflows
+    u = np.minimum(np.maximum(u, 0.0), 1.0)
+    a = np.where(u > 0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
+    b = np.where(u < 1, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
     return a / (a + b)
 
 
@@ -227,6 +228,9 @@ class ProfileCurve:
         lo, hi = -30.0, 30.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                # lo and hi are adjacent floats: no later step changes the result
+                break
             val = 0.5 * (self.T1 - self.T0) * np.sum(_QW * self._spine_rate(x, mid))
             if val > target:
                 hi = mid
@@ -471,17 +475,19 @@ def phi_immersion_check(
     around the fold point (1/2, 0)."""
     if exclusion <= 0:
         raise ValueError("exclusion radius must be positive")
-    t = np.linspace(0.0, 1.0, grid)
-    r = np.linspace(0.0, P.rho_max, grid)
-    T, R = np.meshgrid(t, r, indexing="ij")
-    Tc = np.clip(T, h, 1.0 - h)
-    Rc = np.clip(R, h, P.rho_max - h)
-    up, vp = P.phi(Tc + h, Rc)
-    um, vm = P.phi(Tc - h, Rc)
-    ur, vr = P.phi(Tc, Rc + h)
-    ul, vl = P.phi(Tc, Rc - h)
+    # t along axis 0 and rho along axis 1 as broadcast shapes (grid, 1) and
+    # (1, grid): phi then evaluates every term that depends on one variable
+    # only (the spine quadrature above all) once per grid line, not per point
+    t = np.linspace(0.0, 1.0, grid)[:, None]
+    r = np.linspace(0.0, P.rho_max, grid)[None, :]
+    tc = np.clip(t, h, 1.0 - h)
+    rc = np.clip(r, h, P.rho_max - h)
+    up, vp = P.phi(tc + h, rc)
+    um, vm = P.phi(tc - h, rc)
+    ur, vr = P.phi(tc, rc + h)
+    ul, vl = P.phi(tc, rc - h)
     det = ((up - um) * (vr - vl) - (ur - ul) * (vp - vm)) / (4.0 * h * h)
-    mask = (T - 0.5) ** 2 + R**2 > exclusion**2
+    mask = (t - 0.5) ** 2 + r**2 > exclusion**2
     return float(np.where(mask, det, np.inf).min())
 
 

@@ -144,3 +144,30 @@ def brute_force_plans(max_total: int = 24, tight: bool = False) -> dict:
                     if prev is None or key < prev:
                         best[(dtb, drot)] = key
     return {k: v[2] for k, v in best.items()}
+
+
+# ---------------------------------------------------------------------------
+# profile-map immersion check on the full meshgrid
+# ---------------------------------------------------------------------------
+
+
+def immersion_meshgrid_axes(P, grid: int, h: float = 1e-5):
+    """The clipped (t, rho) meshgrids of shape (grid, grid) at which the
+    immersion check evaluates phi before its +-h shifts."""
+    t = np.linspace(0.0, 1.0, grid)
+    r = np.linspace(0.0, P.rho_max, grid)
+    T, R = np.meshgrid(t, r, indexing="ij")
+    return T, R, np.clip(T, h, 1.0 - h), np.clip(R, h, P.rho_max - h)
+
+
+def immersion_check_meshgrid(P, grid: int = 200, exclusion: float = 0.05, h: float = 1e-5) -> float:
+    """Minimum central-difference Jacobian determinant of phi, evaluating
+    phi at every one of the grid x grid points (no broadcasting)."""
+    T, R, Tc, Rc = immersion_meshgrid_axes(P, grid, h)
+    up, vp = P.phi(Tc + h, Rc)
+    um, vm = P.phi(Tc - h, Rc)
+    ur, vr = P.phi(Tc, Rc + h)
+    ul, vl = P.phi(Tc, Rc - h)
+    det = ((up - um) * (vr - vl) - (ur - ul) * (vp - vm)) / (4.0 * h * h)
+    mask = (T - 0.5) ** 2 + R**2 > exclusion**2
+    return float(np.where(mask, det, np.inf).min())

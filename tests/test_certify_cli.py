@@ -91,6 +91,16 @@ def test_certify_product_configuration_passes():
     assert cert.obstructions["residual"] == 0
 
 
+def test_certify_replays_huge_rotation_targets(three_cp2):
+    big = 10**20 + 1
+    mi = dataclasses.replace(three_cp2, x0=(1, 3, big))
+    cert = certify(mi, run_battery=False)
+    assert cert.passed
+    assert cert.two_handles[2]["rotation"] == big
+    replay = next(c for c in cert.clauses if c.name == "two-handle 3 stabilization replay")
+    assert replay.passed and replay.value == [2, big]
+
+
 def test_certify_aborts_on_unsatisfiable_pairing(three_cp2):
     bad = dataclasses.replace(three_cp2, c=(1, 1, 3), x0=None)
     with pytest.raises(CertifyError) as err:

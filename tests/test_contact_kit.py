@@ -87,6 +87,15 @@ def test_plan_replay_matches_deltas():
     assert end.rot == UNKNOT.rot + plan.delta_rot
 
 
+def test_plan_replay_huge_counts():
+    n = 10**20
+    plan = StabilizationPlan(p=n + 3, q=n, r=2 * n + 1, s=n - 7)
+    end = plan.replay(UNKNOT)
+    assert end == LegendrianState(
+        UNKNOT.tb + plan.delta_tb, UNKNOT.rot + plan.delta_rot
+    )
+
+
 BEST_OVERTWISTED = brute_force_plans(max_total=20, tight=False)
 BEST_TIGHT = brute_force_plans(max_total=20, tight=True)
 

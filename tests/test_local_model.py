@@ -38,6 +38,8 @@ from nearsymp.local_model import (
 )
 from nearsymp.spinc_planner import plan_circles
 
+from oracles import immersion_check_meshgrid, immersion_meshgrid_axes
+
 P = ProfileCurve()
 G0 = Metric4(tuple(tuple(1.0 if i == j else 0.0 for j in range(4)) for i in range(4)))
 
@@ -186,6 +188,50 @@ def test_phi_immersion_on_coarse_grid():
 def test_phi_immersion_rejects_bad_exclusion():
     with pytest.raises(ValueError):
         phi_immersion_check(P, exclusion=0.0)
+
+
+IMMERSION_CURVES = [(1.0, 0.2), (0.6, 0.1), (1.5, 0.3), (0.83, 0.17)]
+
+
+@pytest.mark.parametrize("eps,delta", IMMERSION_CURVES)
+@pytest.mark.parametrize("grid", [2, 3, 80, 200])
+def test_phi_immersion_check_equals_meshgrid_reference(eps, delta, grid):
+    curve = ProfileCurve(eps=eps, delta=delta)
+    assert phi_immersion_check(curve, grid=grid) == immersion_check_meshgrid(curve, grid=grid)
+
+
+@pytest.mark.parametrize("eps,delta", IMMERSION_CURVES)
+def test_phi_on_broadcast_axes_matches_meshgrid_bytes(eps, delta):
+    h = 1e-5
+    curve = ProfileCurve(eps=eps, delta=delta)
+    _, _, Tc, Rc = immersion_meshgrid_axes(curve, 200, h)
+    tc, rc = Tc[:, :1], Rc[:1, :]
+    for dt, dr in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
+        for full, axes in zip(curve.phi(Tc + dt, Rc + dr), curve.phi(tc + dt, rc + dr)):
+            assert axes.shape == full.shape
+            assert axes.tobytes() == full.tobytes()
+
+
+def _left_rate_full_bisection(curve):
+    """All 200 bisection steps of the spine's bump amplitude, never stopping early."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    x = 0.5 * (curve.T1 - curve.T0) * nodes + 0.5 * (curve.T0 + curve.T1)
+    target = curve.q(curve.T1) - math.exp(curve.T0)
+    lo, hi = -30.0, 30.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = 0.5 * (curve.T1 - curve.T0) * np.sum(weights * curve._spine_rate(x, mid))
+        if val > target:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("eps,delta", IMMERSION_CURVES + [(2.0, 0.05), (1.0, 1.0)])
+def test_left_rate_equals_full_bisection(eps, delta):
+    curve = ProfileCurve(eps=eps, delta=delta)
+    assert curve.c_left == _left_rate_full_bisection(curve)
 
 
 def test_profile_curve_rejects_bad_parameters():
