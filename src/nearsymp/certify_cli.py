@@ -30,6 +30,7 @@ from .topo_core import SymmetricForm
 
 DEFAULT_SEED = 20060401
 DEFAULT_GRID = 200
+MIN_GRID = 2  # the immersion check's central differences need two points per axis
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 2000
 
@@ -85,6 +86,11 @@ class ManifoldInput:
     profile_eps: float = 1.0
     profile_delta: float = 0.2
 
+    def __post_init__(self):
+        # also runs for CLI overrides applied through dataclasses.replace
+        if self.grid < MIN_GRID:
+            raise CertifyError("grid", f"must be at least {MIN_GRID}, got {self.grid}")
+
     def to_dict(self) -> dict:
         data = {
             "intersection_form": [list(row) for row in self.intersection_form.matrix],
@@ -135,6 +141,8 @@ def manifold_input_from_dict(data: dict) -> ManifoldInput:
         Q = SymmetricForm(matrix=data["intersection_form"])
     except (ValueError, TypeError) as exc:
         raise CertifyError("intersection_form", str(exc)) from exc
+    if not data["surfaces"]:
+        raise CertifyError("surfaces", "at least one surface is required")
     surfaces = []
     for i, s in enumerate(data["surfaces"]):
         for req in ("genus", "cls", "self_intersection"):
@@ -157,6 +165,12 @@ def manifold_input_from_dict(data: dict) -> ManifoldInput:
     spinc = data["spinc"]
     if "c" not in spinc:
         raise CertifyError("input schema", "spinc missing field 'c'")
+    handle_counts = None
+    if "handle_counts" in data:
+        try:
+            handle_counts = topo_core.ChainComplex(data["handle_counts"]).cells_per_degree
+        except (ValueError, TypeError) as exc:
+            raise CertifyError("handle_counts", str(exc)) from exc
     opts = data.get("options", {})
     pair = data.get("distinguished_pair")
     return ManifoldInput(
@@ -165,11 +179,7 @@ def manifold_input_from_dict(data: dict) -> ManifoldInput:
         b3=int(data["b3"]),
         configuration=config,
         c=tuple(int(v) for v in spinc["c"]),
-        handle_counts=(
-            tuple(int(v) for v in data["handle_counts"])
-            if "handle_counts" in data
-            else None
-        ),
+        handle_counts=handle_counts,
         two_handle_framings=(
             tuple(int(v) for v in data["two_handle_framings"])
             if "two_handle_framings" in data

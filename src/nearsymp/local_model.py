@@ -173,7 +173,6 @@ def smooth_bump(u):
 # ---------------------------------------------------------------------------
 
 _NQUAD = 64
-_QX, _QW = np.polynomial.legendre.leggauss(_NQUAD)
 
 
 @dataclass(frozen=True)
@@ -206,6 +205,12 @@ class ProfileCurve:
         object.__setattr__(self, "RB1", 0.7 * self.rho_max)
         object.__setattr__(self, "kappa", 0.5 / self.rho_max)
         object.__setattr__(self, "fold_radius", min(0.1, self.RB0))
+        # the spine's Gauss-Legendre rule is computed here, not at import:
+        # leggauss runs LAPACK, whose first call costs about 1.6 MiB of RSS
+        # that exact-only runs never need
+        qx, qw = np.polynomial.legendre.leggauss(_NQUAD)
+        object.__setattr__(self, "_qx", qx)
+        object.__setattr__(self, "_qw", qw)
         object.__setattr__(self, "c_left", self._solve_left_rate())
 
     # -- the monotone spine on the left blend zone --------------------------
@@ -223,7 +228,7 @@ class ProfileCurve:
 
     def _solve_left_rate(self) -> float:
         """Bump amplitude making the spine integral land exactly on q(T1)."""
-        x = 0.5 * (self.T1 - self.T0) * _QX + 0.5 * (self.T0 + self.T1)
+        x = 0.5 * (self.T1 - self.T0) * self._qx + 0.5 * (self.T0 + self.T1)
         target = self.q(self.T1) - math.exp(self.T0)
         lo, hi = -30.0, 30.0
         for _ in range(200):
@@ -231,7 +236,7 @@ class ProfileCurve:
             if not lo < mid < hi:
                 # lo and hi are adjacent floats: no later step changes the result
                 break
-            val = 0.5 * (self.T1 - self.T0) * np.sum(_QW * self._spine_rate(x, mid))
+            val = 0.5 * (self.T1 - self.T0) * np.sum(self._qw * self._spine_rate(x, mid))
             if val > target:
                 hi = mid
             else:
@@ -241,9 +246,9 @@ class ProfileCurve:
     def _spine_left(self, t):
         t = np.asarray(t, dtype=float)
         tc = np.clip(t, self.T0, self.T1)
-        x = 0.5 * (tc[..., None] - self.T0) * _QX + 0.5 * (tc[..., None] + self.T0)
+        x = 0.5 * (tc[..., None] - self.T0) * self._qx + 0.5 * (tc[..., None] + self.T0)
         rate = self._spine_rate(x, self.c_left)
-        return math.exp(self.T0) + 0.5 * (tc - self.T0) * np.sum(_QW * rate, axis=-1)
+        return math.exp(self.T0) + 0.5 * (tc - self.T0) * np.sum(self._qw * rate, axis=-1)
 
     # -- cartesian base: wall -> blend -> fold, valid at every rho ----------
 

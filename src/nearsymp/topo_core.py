@@ -1,14 +1,14 @@
 """Exact integer and mod-2 linear algebra over cellular chain complexes.
 
 Everything here is exact: matrices are Python-integer valued, the signature
-is computed by symmetric Gaussian elimination over the rationals, and mod-2
-solving runs over GF(2).  No floating point enters any trusted path.
+and determinant come from one fraction-free (Bareiss) symmetric elimination
+over the integers, and mod-2 solving runs over GF(2).  No floating point
+enters any trusted path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 IntMatrix = list[list[int]]
@@ -43,27 +43,52 @@ def _transpose(A: IntMatrix) -> IntMatrix:
     return [[A[i][j] for i in range(r)] for j in range(c)]
 
 
-def _det(A: IntMatrix) -> int:
-    """Exact determinant by fraction-free-ish elimination over Fractions."""
-    n = len(A)
-    M = [[Fraction(v) for v in row] for row in A]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            f = M[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    M[r][c] -= f * M[col][c]
-    assert det.denominator == 1
-    return int(det)
+def _symmetric_bareiss(matrix: IntMatrix) -> tuple[int, int]:
+    """Signature and determinant of a symmetric integer matrix.
+
+    Fraction-free symmetric elimination (Bareiss 1968) over Python ints.
+    Pivoting on a nonzero diagonal entry d updates the remaining block by
+    ``(d*M[a][b] - M[a][p]*M[p][b]) // prev``; every entry is then a minor
+    of a matrix integrally congruent to the input, so the division is exact.
+    The Schur pivot is d/prev, whose sign is the pivot's contribution to the
+    signature.  When the remaining diagonal is zero, the unimodular
+    congruence e_i <- e_i + e_j on the first nonzero pair i < j makes
+    M[i][i] = 2*M[i][j] nonzero; congruences change neither the signature
+    nor the determinant.  A zero remaining block contributes 0 to the
+    signature and makes the determinant 0.
+    """
+    M = [list(row) for row in matrix]
+    active = list(range(len(M)))
+    sig, prev = 0, 1
+    while active:
+        p = next((i for i in active if M[i][i]), None)
+        if p is None:
+            pair = next(
+                ((i, j) for k, i in enumerate(active)
+                 for j in active[k + 1:] if M[i][j]),
+                None,
+            )
+            if pair is None:
+                return sig, 0
+            p, j = pair
+            Mp, Mj = M[p], M[j]
+            for b in active:
+                Mp[b] += Mj[b]
+            for a in active:
+                M[a][p] += M[a][j]
+        d = M[p][p]
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        active.remove(p)
+        Mp = M[p]
+        for k, a in enumerate(active):
+            Ma = M[a]
+            f = Ma[p]
+            for b in active[k:]:
+                v = (d * Ma[b] - f * Mp[b]) // prev
+                Ma[b] = v
+                M[b][a] = v
+        prev = d
+    return sig, prev
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +111,11 @@ class ChainComplex:
         object.__setattr__(
             self, "cells_per_degree", tuple(int(n) for n in self.cells_per_degree)
         )
+        if len(self.cells_per_degree) != 5:
+            raise ValueError(
+                "cells_per_degree needs one count for each degree 0..4, "
+                f"got {len(self.cells_per_degree)}"
+            )
         bnd = {int(k): _as_int_matrix(v) for k, v in self.boundary.items()}
         # materialize zero matrices for degrees the caller omitted
         for k in range(1, 5):
@@ -128,7 +158,7 @@ class SymmetricForm:
         return len(self.matrix)
 
     def det(self) -> int:
-        return _det(self.matrix)
+        return _symmetric_bareiss(self.matrix)[1]
 
 
 @dataclass(frozen=True)
@@ -342,45 +372,9 @@ def intersection_form_from_link(
 
 
 def signature(Q: SymmetricForm) -> int:
-    """Signature by exact symmetric elimination over the rationals.
-
-    Nonzero diagonal pivots contribute their sign; a zero diagonal with a
-    nonzero off-diagonal partner splits off a hyperbolic 2x2 block
-    contributing 0; zero rows contribute 0.
-    """
-    n = Q.dim
-    M = [[Fraction(v) for v in row] for row in Q.matrix]
-    active = list(range(n))
-    sig = 0
-    while active:
-        piv = next((i for i in active if M[i][i] != 0), None)
-        if piv is not None:
-            d = M[piv][piv]
-            sig += 1 if d > 0 else -1
-            rest = [i for i in active if i != piv]
-            for a in rest:
-                for b in rest:
-                    M[a][b] -= M[a][piv] * M[piv][b] / d
-            active = rest
-            continue
-        pair = None
-        for i in active:
-            for j in active:
-                if j > i and M[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            break  # all-zero block
-        i, j = pair
-        a = M[i][j]
-        rest = [k for k in active if k not in (i, j)]
-        for p in rest:
-            for q in rest:
-                M[p][q] -= (M[p][i] * M[j][q] + M[p][j] * M[i][q]) / a
-        active = rest
-    return sig
+    """Signature by exact fraction-free symmetric elimination over the
+    integers (see ``_symmetric_bareiss``)."""
+    return _symmetric_bareiss(Q.matrix)[0]
 
 
 def pairing(c: Sequence[int], a: Sequence[int], Q: SymmetricForm) -> int:
@@ -389,10 +383,11 @@ def pairing(c: Sequence[int], a: Sequence[int], Q: SymmetricForm) -> int:
         raise ValueError(
             f"dimension mismatch: vectors {len(c)},{len(a)} vs form {Q.dim}"
         )
+    a = [int(v) for v in a]
     return sum(
-        int(c[i]) * Q.matrix[i][j] * int(a[j])
-        for i in range(Q.dim)
-        for j in range(Q.dim)
+        int(ci) * sum(q * aj for q, aj in zip(row, a))
+        for ci, row in zip(c, Q.matrix)
+        if ci
     )
 
 

@@ -51,6 +51,48 @@ def det_exact(A) -> int:
     return int(det)
 
 
+def signature_fraction(matrix) -> int:
+    """Signature by symmetric elimination over Fractions.
+
+    Nonzero diagonal pivots contribute their sign; a zero diagonal with a
+    nonzero off-diagonal partner splits off a hyperbolic 2x2 block
+    contributing 0; zero rows contribute 0.
+    """
+    n = len(matrix)
+    M = [[Fraction(v) for v in row] for row in matrix]
+    active = list(range(n))
+    sig = 0
+    while active:
+        piv = next((i for i in active if M[i][i] != 0), None)
+        if piv is not None:
+            d = M[piv][piv]
+            sig += 1 if d > 0 else -1
+            rest = [i for i in active if i != piv]
+            for a in rest:
+                for b in rest:
+                    M[a][b] -= M[a][piv] * M[piv][b] / d
+            active = rest
+            continue
+        pair = None
+        for i in active:
+            for j in active:
+                if j > i and M[i][j] != 0:
+                    pair = (i, j)
+                    break
+            if pair:
+                break
+        if pair is None:
+            break  # all-zero block
+        i, j = pair
+        a = M[i][j]
+        rest = [k for k in active if k not in (i, j)]
+        for p in rest:
+            for q in rest:
+                M[p][q] -= (M[p][i] * M[j][q] + M[p][j] * M[i][q]) / a
+        active = rest
+    return sig
+
+
 def recheck_smith(A, snf) -> None:
     """Assert U*A*V = D, U and V unimodular, and the divisibility chain."""
     A = [[int(v) for v in row] for row in A]

@@ -232,6 +232,26 @@ def test_cli_certify_bad_signs_exit_1(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "patch, flags, field",
+    [
+        ({"handle_counts": [1, 0]}, [], "handle_counts"),
+        ({"surfaces": []}, [], "surfaces"),
+        ({"options": {"grid": 0}}, [], "grid"),
+        ({}, ["--grid", "1"], "grid"),
+    ],
+)
+def test_cli_certify_malformed_input_exits_2(tmp_path, capsys, patch, flags, field):
+    data = json.loads(fixture_path("three_cp2.json").read_text())
+    data.update(patch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["certify", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
 def test_cli_bad_matrix_exits_2(capsys):
     assert main(["signature", "not json"]) == 2
     assert "error" in capsys.readouterr().err

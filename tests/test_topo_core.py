@@ -22,7 +22,14 @@ from nearsymp.topo_core import (
     validate_complex,
 )
 
-from oracles import eigenvalue_signature, exhaustive_mod2, recheck_smith
+from oracles import (
+    det_exact,
+    eigenvalue_signature,
+    exhaustive_mod2,
+    matmul,
+    recheck_smith,
+    signature_fraction,
+)
 
 E8 = [
     [2, -1, 0, 0, 0, 0, 0, 0],
@@ -219,6 +226,69 @@ def test_signature_matches_eigenvalue_oracle(n, seed):
     M = rng.integers(-9, 10, size=(n, n))
     M = (M + M.T).tolist()
     assert signature(SymmetricForm(M)) == eigenvalue_signature(M)
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric integer matrices with n <= 10 and entries up to 1000 in
+    size, optionally with a zero diagonal and optionally singular (two
+    equal rows, made by the congruence that sends e_r to e_s)."""
+    n = draw(st.integers(1, 10))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-1000, 1000))
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = draw(entry)
+    if draw(st.booleans()):
+        for i in range(n):
+            M[i][i] = 0
+    if n > 1 and draw(st.booleans()):
+        r, s = draw(st.permutations(range(n)))[:2]
+        idx = [s if k == r else k for k in range(n)]
+        M = [[M[a][b] for b in idx] for a in idx]
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_forms())
+def test_signature_and_det_match_fraction_elimination(M):
+    Q = SymmetricForm(M)
+    assert signature(Q) == signature_fraction(M)
+    assert Q.det() == det_exact(M)
+
+
+def _unit_triangular(n, rng, lower):
+    return [
+        [1 if i == j else (int(rng.integers(-1, 2)) if (i > j) == lower else 0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "plus, minus, hyperbolic", [(48, 0, 0), (0, 0, 24), (10, 6, 16), (1, 23, 12)]
+)
+def test_signature_and_det_at_b2_48_after_basis_change(plus, minus, hyperbolic):
+    n = plus + minus + 2 * hyperbolic
+    assert n == 48
+    Q = [[0] * n for _ in range(n)]
+    for i in range(plus):
+        Q[i][i] = 1
+    for i in range(plus, plus + minus):
+        Q[i][i] = -1
+    for k in range(plus + minus, n, 2):
+        Q[k][k + 1] = Q[k + 1][k] = 1
+    sigma, det = plus - minus, (-1) ** (minus + hyperbolic)
+    assert signature(SymmetricForm(Q)) == sigma
+    assert SymmetricForm(Q).det() == det
+    # U = L * R with unit triangular L, R of entries in {-1, 0, 1}: det U = 1
+    rng = np.random.default_rng(n + 7 * minus + hyperbolic)
+    U = matmul(_unit_triangular(n, rng, True), _unit_triangular(n, rng, False))
+    Ut = [list(col) for col in zip(*U)]
+    P = SymmetricForm(matmul(matmul(Ut, Q), U))
+    assert P.matrix != Q
+    assert signature(P) == sigma
+    assert P.det() == det
 
 
 # ---------------------------------------------------------------------------
