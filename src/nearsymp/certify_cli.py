@@ -31,6 +31,8 @@ from .topo_core import SymmetricForm
 DEFAULT_SEED = 20060401
 DEFAULT_GRID = 200
 MIN_GRID = 2  # the immersion check's central differences need two points per axis
+DEFAULT_PROFILE_EPS = 1.0
+DEFAULT_PROFILE_DELTA = 0.2
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 2000
 
@@ -61,6 +63,11 @@ class CertifyError(Exception):
         self.detail = detail
 
 
+def _check_grid(grid: int) -> None:
+    if grid < MIN_GRID:
+        raise CertifyError("grid", f"must be at least {MIN_GRID}, got {grid}")
+
+
 # ---------------------------------------------------------------------------
 # input model
 # ---------------------------------------------------------------------------
@@ -83,13 +90,12 @@ class ManifoldInput:
     tolerance: float = DEFAULT_TOLERANCE
     grid: int = DEFAULT_GRID
     seed: int = DEFAULT_SEED
-    profile_eps: float = 1.0
-    profile_delta: float = 0.2
+    profile_eps: float = DEFAULT_PROFILE_EPS
+    profile_delta: float = DEFAULT_PROFILE_DELTA
 
     def __post_init__(self):
         # also runs for CLI overrides applied through dataclasses.replace
-        if self.grid < MIN_GRID:
-            raise CertifyError("grid", f"must be at least {MIN_GRID}, got {self.grid}")
+        _check_grid(self.grid)
 
     def to_dict(self) -> dict:
         data = {
@@ -195,8 +201,8 @@ def manifold_input_from_dict(data: dict) -> ManifoldInput:
         tolerance=float(opts.get("tolerance", DEFAULT_TOLERANCE)),
         grid=int(opts.get("grid", DEFAULT_GRID)),
         seed=int(opts.get("seed", DEFAULT_SEED)),
-        profile_eps=float(opts.get("profile_eps", 1.0)),
-        profile_delta=float(opts.get("profile_delta", 0.2)),
+        profile_eps=float(opts.get("profile_eps", DEFAULT_PROFILE_EPS)),
+        profile_delta=float(opts.get("profile_delta", DEFAULT_PROFILE_DELTA)),
     )
 
 
@@ -330,6 +336,7 @@ def run_local_battery(
     samples: int = DEFAULT_SAMPLES,
 ) -> tuple[dict, list[CertClause]]:
     """Numerical checks of the local model; returns (summary, clauses)."""
+    _check_grid(grid)
     rng = np.random.default_rng(seed)
     P = local_model.ProfileCurve(eps=eps, delta=delta)
 
@@ -791,6 +798,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("local-check", help="run the local model battery alone")
     p.add_argument("--out", default=None)
     _add_common_flags(p)
+    # parser-level defaults override the None of _add_common_flags
+    p.set_defaults(
+        tolerance=DEFAULT_TOLERANCE,
+        grid=100,
+        seed=DEFAULT_SEED,
+        profile_eps=DEFAULT_PROFILE_EPS,
+        profile_delta=DEFAULT_PROFILE_DELTA,
+    )
     return parser
 
 
@@ -866,11 +881,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "local-check":
             summary, clauses = run_local_battery(
-                args.seed if args.seed is not None else DEFAULT_SEED,
-                args.grid if args.grid is not None else 100,
-                args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE,
-                args.profile_eps if args.profile_eps is not None else 1.0,
-                args.profile_delta if args.profile_delta is not None else 0.2,
+                args.seed, args.grid, args.tolerance, args.profile_eps, args.profile_delta
             )
             ok = all(c.passed for c in clauses)
             for c in clauses:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -105,25 +105,23 @@ class TwoForm:
 
 @dataclass(frozen=True)
 class Metric4:
-    """Symmetric 4x4 metric; here always a conformal multiple of the identity."""
+    """The conformal metric factor * g0, g0 the flat metric of the chart.
 
-    matrix: tuple[tuple[float, ...], ...]
+    Every metric of the local model is a conformal multiple of g0, so the
+    single factor is the whole metric; it is positive definite exactly when
+    factor > 0.
+    """
+
+    factor: float
 
     def __post_init__(self):
-        M = tuple(tuple(float(v) for v in row) for row in self.matrix)
-        if len(M) != 4 or any(len(row) != 4 for row in M):
-            raise ValueError("metric must be 4x4")
-        for i in range(4):
-            for j in range(i):
-                if abs(M[i][j] - M[j][i]) > 1e-14:
-                    raise ValueError("metric must be symmetric")
-        object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "factor", float(self.factor))
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.matrix)
+        return self.factor * np.eye(4)
 
     def is_positive_definite(self) -> bool:
-        return bool(np.all(np.linalg.eigvalsh(self.as_array()) > 0))
+        return self.factor > 0
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +556,6 @@ def omega_near_Z(T: float, x: float, y: float) -> TwoForm:
     )
 
 
-FORM_A = TwoForm((1.0, 0.0, 0.0, 0.0, 0.0, 1.0), CARTESIAN)
-FORM_B = TwoForm((0.0, 1.0, 0.0, 0.0, -1.0, 0.0), CARTESIAN)
-FORM_C = TwoForm((0.0, 0.0, 1.0, 1.0, 0.0, 0.0), CARTESIAN)
-
-
 def wedge_square(w: TwoForm) -> float:
     """Coefficient of the volume form in w ^ w."""
     c = w.components
@@ -597,57 +590,42 @@ def metric_g(T: float, x: float, y: float, eps_prime: float) -> Metric4:
         raise ValueError("eps_prime must be positive")
     R = math.sqrt(4.0 * T * T + x * x + y * y)
     s = float(smooth_step((R - eps_prime / 2.0) / (eps_prime / 2.0)))
-    factor = (1.0 - s) + s * R
-    return Metric4(tuple(tuple(factor if i == j else 0.0 for j in range(4)) for i in range(4)))
-
-
-_LEVI_CIVITA = np.zeros((4, 4, 4, 4))
-for _perm, _sign in (
-    ((0, 1, 2, 3), 1), ((0, 1, 3, 2), -1), ((0, 2, 1, 3), -1), ((0, 2, 3, 1), 1),
-    ((0, 3, 1, 2), 1), ((0, 3, 2, 1), -1), ((1, 0, 2, 3), -1), ((1, 0, 3, 2), 1),
-    ((1, 2, 0, 3), 1), ((1, 2, 3, 0), -1), ((1, 3, 0, 2), -1), ((1, 3, 2, 0), 1),
-    ((2, 0, 1, 3), 1), ((2, 0, 3, 1), -1), ((2, 1, 0, 3), -1), ((2, 1, 3, 0), 1),
-    ((2, 3, 0, 1), 1), ((2, 3, 1, 0), -1), ((3, 0, 1, 2), -1), ((3, 0, 2, 1), 1),
-    ((3, 1, 0, 2), 1), ((3, 1, 2, 0), -1), ((3, 2, 0, 1), -1), ((3, 2, 1, 0), 1),
-):
-    _LEVI_CIVITA[_perm] = _sign
+    return Metric4((1.0 - s) + s * R)
 
 
 def hodge_star_2form(g: Metric4, orientation: int, w: TwoForm) -> TwoForm:
-    """Hodge star on 2-forms for the given metric and orientation (+1 is the
-    chart orientation).  Conformal rescaling of the metric leaves this star
-    unchanged, so any conformal multiple of g0 gives the g0 star."""
+    """Hodge star on 2-forms for the metric factor * g0 and the given
+    orientation (+1 is the chart orientation).
+
+    On 2-forms in dimension 4 the star is unchanged by conformal rescaling,
+    so for every positive factor it is the flat star: the signed permutation
+    dT^dx <-> dy^dlam, dT^dy <-> -dx^dlam, dT^dlam <-> dx^dy.
+    """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    G = g.as_array()
-    detg = np.linalg.det(G)
-    if detg <= 0:
+    if not g.is_positive_definite():
         raise ValueError("degenerate or indefinite metric")
-    Ginv = np.linalg.inv(G)
-    W = w.as_matrix()
-    W_up = Ginv @ W @ Ginv
-    star = 0.5 * math.sqrt(detg) * np.einsum("ab,abcd->cd", W_up, _LEVI_CIVITA)
-    star = orientation * star
-    return TwoForm(tuple(star[a, b] for (a, b) in _BASIS_PAIRS), w.basis)
+    c0, c1, c2, c3, c4, c5 = w.components
+    return TwoForm(
+        tuple(orientation * v for v in (c5, -c4, c3, c2, -c1, c0)), w.basis
+    )
 
 
 def honda_form(T: float, x: float, y: float) -> TwoForm:
     """dlam ^ dh + star3(dh) for h = -x^2/2 - y^2/2 + T^2, with the
     3-dimensional star taken for dy^2 + dx^2 + dT^2 and orientation (y, x, T)."""
     hT, hx, hy = 2.0 * T, -x, -y
-    # dlam ^ dh = -hT dT^dlam - hx dx^dlam - hy dy^dlam  ... sign: dlam^dT = -dT^dlam
-    part1 = TwoForm((0.0, 0.0, -hT, 0.0, -hx, -hy), CARTESIAN)
-    # oriented orthonormal coframe (dy, dx, dT): star dy = dx^dT,
-    # star dx = dT^dy, star dT = dy^dx
-    # dh = hT dT + hx dx + hy dy
-    # star3 dh = hT dy^dx + hx dT^dy + hy dx^dT
-    #          = -hT dx^dy + hx dT^dy - hy dT^dx  (wait: dx^dT = -dT^dx)
-    part2 = TwoForm((-hy, hx, 0.0, -hT, 0.0, 0.0), CARTESIAN)
-    return part1 + part2
+    # dlam ^ dh = -hT dT^dlam - hx dx^dlam - hy dy^dlam
+    #           = (0, 0, -hT, 0, -hx, -hy)
+    # with the oriented orthonormal coframe (dy, dx, dT): star3 dy = dx^dT,
+    # star3 dx = dT^dy, star3 dT = dy^dx, so for dh = hT dT + hx dx + hy dy
+    # star3 dh = -hy dT^dx + hx dT^dy - hT dx^dy
+    #          = (-hy, hx, 0, -hT, 0, 0)
+    return TwoForm((-hy, hx, -hT, -hT, -hx, -hy), CARTESIAN)
 
 
 # ---------------------------------------------------------------------------
-# numerical exterior derivative and transversality
+# numerical exterior derivative
 # ---------------------------------------------------------------------------
 
 _TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
@@ -681,16 +659,6 @@ def d_omega_numeric(
         val = partial(a, (b, c)) - partial(b, (a, c)) + partial(c, (a, b))
         out.append(val)
     return tuple(out)
-
-
-def coefficient_jacobian() -> np.ndarray:
-    """Jacobian of the coefficient map (T, x, y) -> (y, -x, -2T)."""
-    return np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [-2.0, 0.0, 0.0]])
-
-
-def zero_transversality(pt: ChartPoint | None = None) -> int:
-    """Rank of the coefficient Jacobian; constant, so the point is ignored."""
-    return int(np.linalg.matrix_rank(coefficient_jacobian()))
 
 
 # ---------------------------------------------------------------------------

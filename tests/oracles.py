@@ -213,3 +213,32 @@ def immersion_check_meshgrid(P, grid: int = 200, exclusion: float = 0.05, h: flo
     det = ((up - um) * (vr - vl) - (ur - ul) * (vp - vm)) / (4.0 * h * h)
     mask = (T - 0.5) ** 2 + R**2 > exclusion**2
     return float(np.where(mask, det, np.inf).min())
+
+
+# ---------------------------------------------------------------------------
+# Hodge star on 2-forms for a general metric
+# ---------------------------------------------------------------------------
+
+# index pairs of the ordered 2-form basis dT^dx, dT^dy, dT^dlam, dx^dy,
+# dx^dlam, dy^dlam, coordinates numbered 0..3 in chart order
+_BASIS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+_LEVI_CIVITA = np.zeros((4, 4, 4, 4))
+for _perm in itertools.permutations(range(4)):
+    _inversions = sum(a > b for a, b in itertools.combinations(_perm, 2))
+    _LEVI_CIVITA[_perm] = -1.0 if _inversions % 2 else 1.0
+
+
+def hodge_star_general(G, orientation: int, w) -> tuple[float, ...]:
+    """Hodge star of the 2-form with components w for the symmetric positive
+    definite 4x4 metric G: raise both indices with G^-1 and contract with
+    sqrt(det G) times the Levi-Civita symbol."""
+    G = np.asarray(G, dtype=float)
+    W = np.zeros((4, 4))
+    for c, (a, b) in zip(w, _BASIS_PAIRS):
+        W[a, b] = c
+        W[b, a] = -c
+    Ginv = np.linalg.inv(G)
+    W_up = Ginv @ W @ Ginv
+    star = 0.5 * np.sqrt(np.linalg.det(G)) * np.einsum("ab,abcd->cd", W_up, _LEVI_CIVITA)
+    return tuple(float(orientation * star[a, b]) for a, b in _BASIS_PAIRS)

@@ -252,6 +252,16 @@ def test_cli_certify_malformed_input_exits_2(tmp_path, capsys, patch, flags, fie
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid", ["0", "1", "-3"])
+def test_cli_local_check_rejects_small_grid(capsys, grid):
+    assert main(["local-check", "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert "grid" in captured.err
+    assert "zero-size" not in captured.err
+    assert "Traceback" not in captured.err
+    assert "overall" not in captured.out
+
+
 def test_cli_bad_matrix_exits_2(capsys):
     assert main(["signature", "not json"]) == 2
     assert "error" in capsys.readouterr().err

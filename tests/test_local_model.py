@@ -5,19 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nearsymp.local_model import (
     CARTESIAN,
     CYLINDRICAL,
-    FORM_A,
-    FORM_B,
-    FORM_C,
     ChartPoint,
     Metric4,
     ProfileCurve,
     TwoForm,
     circle_levels,
-    coefficient_jacobian,
     contact_positivity,
     contact_profile,
     d_omega_numeric,
@@ -34,14 +32,19 @@ from nearsymp.local_model import (
     smooth_step,
     smooth_step_d,
     wedge_square,
-    zero_transversality,
 )
 from nearsymp.spinc_planner import plan_circles
 
-from oracles import immersion_check_meshgrid, immersion_meshgrid_axes
+from oracles import hodge_star_general, immersion_check_meshgrid, immersion_meshgrid_axes
 
 P = ProfileCurve()
-G0 = Metric4(tuple(tuple(1.0 if i == j else 0.0 for j in range(4)) for i in range(4)))
+G0 = Metric4(1.0)
+
+# the self-dual frame A = dT^dx + dy^dlam, B = dT^dy - dx^dlam,
+# C = dx^dy + dT^dlam of the model form omega = y A - x B - 2T C
+FORM_A = TwoForm((1.0, 0.0, 0.0, 0.0, 0.0, 1.0), CARTESIAN)
+FORM_B = TwoForm((0.0, 1.0, 0.0, 0.0, -1.0, 0.0), CARTESIAN)
+FORM_C = TwoForm((0.0, 0.0, 1.0, 1.0, 0.0, 0.0), CARTESIAN)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +368,44 @@ def test_hodge_star_rejects_bad_orientation():
         hodge_star_2form(G0, 0, FORM_A)
 
 
+@pytest.mark.parametrize("factor", [0.0, -1.0])
+def test_hodge_star_rejects_degenerate_metric(factor):
+    assert not Metric4(factor).is_positive_definite()
+    with pytest.raises(ValueError, match="degenerate or indefinite metric"):
+        hodge_star_2form(Metric4(factor), 1, FORM_A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=6, max_size=6),
+    st.sampled_from([1, -1]),
+    st.floats(0.01, 5.0),
+)
+# the worst gap found so far, 1.02e-15 relative, from numpy's determinant
+@example([0.0, 0.0, 0.0, 0.0, 0.0, 42702.25], 1, 0.01171875)
+def test_hodge_star_matches_general_metric_star(comps, orientation, factor):
+    w = TwoForm(tuple(comps))
+    scale = max(abs(c) for c in w.components)
+    # keep W G^-1 G^-1 clear of the subnormal range, where the reference
+    # loses digits that the signed permutation keeps
+    assume(scale == 0.0 or scale > 1e-200)
+    # at the flat metric the reference does no rounding: exact equality
+    # (signed zeros compare equal)
+    flat = hodge_star_2form(G0, orientation, w).components
+    assert flat == hodge_star_general(np.eye(4), orientation, w.components)
+    g = Metric4(factor)
+    ref = hodge_star_general(g.as_array(), orientation, w.components)
+    star = hodge_star_2form(g, orientation, w).components
+    assert star == flat
+    # the star under test only flips signs, so the gap is the reference's own
+    # rounding: about 8 roundings in inv, the two products, sqrt and the
+    # scaling, plus the determinant, which numpy evaluates as the exp of the
+    # log-determinant (relative error about |ln det G| = 4 |ln factor| units,
+    # halved by the sqrt)
+    bound = (8 + 2 * abs(math.log(factor))) * 2.0**-53 * scale
+    assert max(abs(a - b) for a, b in zip(star, ref)) <= bound
+
+
 def test_omega_self_dual_under_scaled_metric():
     rng = np.random.default_rng(9)
     for _ in range(50):
@@ -421,11 +462,6 @@ def test_d_omega_detects_non_closed_form():
 def test_d_omega_rejects_bad_step():
     with pytest.raises(ValueError):
         d_omega_numeric(omega_field, ChartPoint(CARTESIAN, (0, 0, 0, 0)), 0.0)
-
-
-def test_zero_transversality():
-    assert zero_transversality() == 3
-    assert abs(np.linalg.det(coefficient_jacobian()) + 2.0) < 1e-14
 
 
 def test_form_coefficients_vanish_linearly_toward_circle():
