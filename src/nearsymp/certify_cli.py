@@ -30,7 +30,7 @@ from .topo_core import SymmetricForm
 
 DEFAULT_SEED = 20060401
 DEFAULT_GRID = 200
-MIN_GRID = 2  # the immersion check's central differences need two points per axis
+MIN_GRID = 2  # the immersion grid spans [0, 1] x [0, rho_max] only from two lines per axis
 DEFAULT_PROFILE_EPS = 1.0
 DEFAULT_PROFILE_DELTA = 0.2
 DEFAULT_TOLERANCE = 1e-9
@@ -139,70 +139,130 @@ class ManifoldInput:
         return data
 
 
+# every key of the input format, per JSON object; any other key is rejected
+_TOP_FIELDS = (
+    "intersection_form", "b1", "b3", "surfaces", "edges", "side_conditions",
+    "spinc", "options", "handle_counts", "two_handle_framings", "distinguished_pair",
+)
+_SURFACE_FIELDS = ("genus", "cls", "self_intersection")
+_SPINC_FIELDS = ("c", "x0", "x_prime", "z")
+_OPTION_FIELDS = ("tolerance", "grid", "seed", "profile_eps", "profile_delta", "signs")
+_PAIR_FIELDS = ("two_handle", "one_handle")
+
+
+def _object(value, path: str, known: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
+    """``value`` as a JSON object holding only ``known`` keys and every
+    ``required`` one; ``path`` names it in errors."""
+    if not isinstance(value, dict):
+        raise CertifyError(path or "input", f"must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in known:
+            name = f"{path}.{key}" if path else key
+            raise CertifyError("input schema", f"unknown field {name!r}")
+    for key in required:
+        if key not in value:
+            where = f"{path} missing" if path else "missing required"
+            raise CertifyError("input schema", f"{where} field {key!r}")
+    return value
+
+
+def _int(value, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CertifyError(path, f"must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise CertifyError(path, f"must be a list, got {value!r}")
+    return value
+
+
+def _ints(value, path: str) -> tuple[int, ...]:
+    return tuple(_int(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path)))
+
+
+def _number(value, path: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise CertifyError(path, f"must be a number, got {value!r}")
+    return float(value)
+
+
 def manifold_input_from_dict(data: dict) -> ManifoldInput:
-    for req in ("intersection_form", "b1", "b3", "surfaces", "spinc"):
-        if req not in data:
-            raise CertifyError("input schema", f"missing required field {req!r}")
+    """Validate a parsed input document; every malformed field raises a
+    CertifyError that names it."""
+    _object(data, "", _TOP_FIELDS, ("intersection_form", "b1", "b3", "surfaces", "spinc"))
     try:
         Q = SymmetricForm(matrix=data["intersection_form"])
     except (ValueError, TypeError) as exc:
         raise CertifyError("intersection_form", str(exc)) from exc
-    if not data["surfaces"]:
+    if not _list(data["surfaces"], "surfaces"):
         raise CertifyError("surfaces", "at least one surface is required")
     surfaces = []
     for i, s in enumerate(data["surfaces"]):
-        for req in ("genus", "cls", "self_intersection"):
-            if req not in s:
-                raise CertifyError(
-                    "input schema", f"surfaces[{i}] missing field {req!r}"
-                )
+        path = f"surfaces[{i}]"
+        _object(s, path, _SURFACE_FIELDS, _SURFACE_FIELDS)
         surfaces.append(
             SurfaceSpec(
-                genus=s["genus"],
-                cls=tuple(s["cls"]),
-                self_intersection=s["self_intersection"],
+                genus=_int(s["genus"], f"{path}.genus"),
+                cls=_ints(s["cls"], f"{path}.cls"),
+                self_intersection=_int(s["self_intersection"], f"{path}.self_intersection"),
             )
         )
+    edges = _list(data.get("edges", []), "edges")
+    edges = [_ints(edge, f"edges[{k}]") for k, edge in enumerate(edges)]
+    for k, edge in enumerate(edges):
+        if len(edge) != 2 or edge[0] == edge[1] or not all(0 <= v < len(surfaces) for v in edge):
+            raise CertifyError(
+                f"edges[{k}]",
+                f"must join two distinct surfaces among 0..{len(surfaces) - 1}, got {list(edge)}",
+            )
+    side_conditions = _list(data.get("side_conditions", []), "side_conditions")
+    if not all(isinstance(v, str) for v in side_conditions):
+        raise CertifyError("side_conditions", f"must be a list of strings, got {side_conditions!r}")
     config = ConfigurationGraph(
         vertices=tuple(surfaces),
-        edges=tuple(tuple(e) for e in data.get("edges", [])),
-        side_conditions=tuple(data.get("side_conditions", [])),
+        edges=tuple(edges),
+        side_conditions=tuple(side_conditions),
     )
-    spinc = data["spinc"]
-    if "c" not in spinc:
-        raise CertifyError("input schema", "spinc missing field 'c'")
+    spinc = _object(data["spinc"], "spinc", _SPINC_FIELDS, ("c",))
     handle_counts = None
     if "handle_counts" in data:
         try:
             handle_counts = topo_core.ChainComplex(data["handle_counts"]).cells_per_degree
         except (ValueError, TypeError) as exc:
             raise CertifyError("handle_counts", str(exc)) from exc
-    opts = data.get("options", {})
-    pair = data.get("distinguished_pair")
+    opts = _object(data.get("options", {}), "options", _OPTION_FIELDS)
+    pair = None
+    if "distinguished_pair" in data:
+        pair = _object(data["distinguished_pair"], "distinguished_pair", _PAIR_FIELDS, _PAIR_FIELDS)
+        pair = tuple(_int(pair[k], f"distinguished_pair.{k}") for k in _PAIR_FIELDS)
+
+    def optional_ints(obj, key, prefix=""):
+        return _ints(obj[key], prefix + key) if key in obj else None
+
     return ManifoldInput(
         intersection_form=Q,
-        b1=int(data["b1"]),
-        b3=int(data["b3"]),
+        b1=_int(data["b1"], "b1"),
+        b3=_int(data["b3"], "b3"),
         configuration=config,
-        c=tuple(int(v) for v in spinc["c"]),
+        c=_ints(spinc["c"], "spinc.c"),
         handle_counts=handle_counts,
-        two_handle_framings=(
-            tuple(int(v) for v in data["two_handle_framings"])
-            if "two_handle_framings" in data
-            else None
+        two_handle_framings=optional_ints(data, "two_handle_framings"),
+        distinguished_pair=pair,
+        x0=optional_ints(spinc, "x0", "spinc."),
+        x_prime=optional_ints(spinc, "x_prime", "spinc."),
+        z=optional_ints(spinc, "z", "spinc."),
+        signs=_ints(opts["signs"], "options.signs") if opts.get("signs") else None,
+        tolerance=_number(opts.get("tolerance", DEFAULT_TOLERANCE), "options.tolerance"),
+        grid=_int(opts.get("grid", DEFAULT_GRID), "options.grid"),
+        seed=_int(opts.get("seed", DEFAULT_SEED), "options.seed"),
+        profile_eps=_number(opts.get("profile_eps", DEFAULT_PROFILE_EPS), "options.profile_eps"),
+        profile_delta=_number(
+            opts.get("profile_delta", DEFAULT_PROFILE_DELTA), "options.profile_delta"
         ),
-        distinguished_pair=(
-            (int(pair["two_handle"]), int(pair["one_handle"])) if pair else None
-        ),
-        x0=tuple(int(v) for v in spinc["x0"]) if "x0" in spinc else None,
-        x_prime=tuple(int(v) for v in spinc["x_prime"]) if "x_prime" in spinc else None,
-        z=tuple(int(v) for v in spinc["z"]) if "z" in spinc else None,
-        signs=tuple(int(v) for v in opts["signs"]) if opts.get("signs") else None,
-        tolerance=float(opts.get("tolerance", DEFAULT_TOLERANCE)),
-        grid=int(opts.get("grid", DEFAULT_GRID)),
-        seed=int(opts.get("seed", DEFAULT_SEED)),
-        profile_eps=float(opts.get("profile_eps", DEFAULT_PROFILE_EPS)),
-        profile_delta=float(opts.get("profile_delta", DEFAULT_PROFILE_DELTA)),
     )
 
 
@@ -616,6 +676,7 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
             )
         splan = contact_kit.plan_stabilization(unknot, target, overtwisted=True)
         replay = splan.replay(unknot)
+        framing = contact_kit.handle_framing(tb, 1)
         clauses.append(
             CertClause(
                 f"two-handle {i + 1} stabilization replay",
@@ -626,8 +687,8 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
         )
         clauses.append(
             CertClause(
-                f"two-handle {i + 1} framing rule", fr == tb - 1, "computed",
-                fr, tb - 1, "contact framing minus one on a convex boundary",
+                f"two-handle {i + 1} framing rule", fr == framing, "computed",
+                fr, framing, "contact framing minus one on a convex boundary",
             )
         )
         two_handles.append(

@@ -1,7 +1,7 @@
 """Integer arithmetic of contact-topological invariants: Legendrian connected
-sums and stabilizations, transverse unknot self-linking, 2-handle framing
-rules, and the extension-obstruction calculus for almost complex structures
-over balls and circle neighborhoods.
+sums and stabilizations, 2-handle framing rules, and the
+extension-obstruction calculus for almost complex structures over balls and
+circle neighborhoods.
 """
 
 from __future__ import annotations
@@ -148,17 +148,6 @@ def handle_framing(tb: int, boundary_sign: int) -> int:
     return tb - 1 if boundary_sign == 1 else tb + 1
 
 
-def transverse_unknot(sign: int, overtwisted: bool) -> int:
-    """Self-linking of a transverse unknot: -1 always; +1 only overtwisted."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if sign == 1 and not overtwisted:
-        raise ValueError(
-            "self-linking +1 unknots exist only in overtwisted structures"
-        )
-    return sign
-
-
 def obstruction_from_lk(lk: int) -> int:
     """The ball-extension obstruction of a circle equals the self-linking."""
     return lk
@@ -175,11 +164,6 @@ def total_obstruction(signs: Sequence[int], d: int) -> int:
     failure, not an exception.
     """
     return d - sum(int(s) for s in signs)
-
-
-def split_obstruction(h: int, k1: int) -> tuple[int, int]:
-    """Split h additively across two balls as (k1, h - k1)."""
-    return (k1, h - k1)
 
 
 def obstruction_from_linking_matrix(L: SymmetricForm) -> int:

@@ -185,6 +185,10 @@ class ProfileCurve:
     formula (rho - (t-1/2)^2 + 1 + delta, -2 rho (t-1/2)) holds verbatim on
     [T1, T2] x [0, RB0], which contains the declared fold disk of radius
     fold_radius around (1/2, 0).
+
+    ``phi_jet`` gives phi with its four partials by the chain rule through
+    these zones; it is the only derivative of phi in the package, and
+    ``phi`` is its value part.
     """
 
     eps: float = 1.0
@@ -251,21 +255,25 @@ class ProfileCurve:
     # -- cartesian base: wall -> blend -> fold, valid at every rho ----------
 
     def _base(self, t, rho):
+        """(bu, bv) and their partials (bu_t, bu_rho, bv_t, bv_rho)."""
         t = np.asarray(t, dtype=float)
         rho = np.asarray(rho, dtype=float)
+        et = np.exp(t)
         w = self._wL(t)
-        A = w
-        B = (1 - w) * np.exp(t) + w * (-2.0) * (t - 0.5)
-        G = np.where(
-            t <= self.T0,
-            np.exp(t),
-            np.where(t <= self.T1, self._spine_left(t), self.q(t)),
+        w_t = smooth_step_d((t - self.T0) / (self.T1 - self.T0)) / (self.T1 - self.T0)
+        left, blend = t <= self.T0, t <= self.T1
+        B = (1 - w) * et + w * (-2.0) * (t - 0.5)
+        B_t = (1 - w) * et - w_t * et - 2.0 * w_t * (t - 0.5) - 2.0 * w
+        G = np.where(left, et, np.where(blend, self._spine_left(t), self.q(t)))
+        # the spine's t-derivative is its integrand, the rate
+        G_t = np.where(
+            left, et, np.where(blend, self._spine_rate(t, self.c_left), -2.0 * (t - 0.5))
         )
-        Ac = np.where(t <= self.T0, 0.0, np.where(t <= self.T1, A, 1.0))
-        Bc = np.where(
-            t <= self.T0, np.exp(t), np.where(t <= self.T1, B, -2.0 * (t - 0.5))
-        )
-        return G + rho * Ac, rho * Bc
+        Ac = np.where(left, 0.0, np.where(blend, w, 1.0))
+        Ac_t = np.where(left | ~blend, 0.0, w_t)
+        Bc = np.where(left, et, np.where(blend, B, -2.0 * (t - 0.5)))
+        Bc_t = np.where(left, et, np.where(blend, B_t, -2.0))
+        return G + rho * Ac, rho * Bc, G_t + rho * Ac_t, Ac, rho * Bc_t, Bc
 
     # -- the twisted (extra-pi) boundary profile ----------------------------
 
@@ -313,99 +321,77 @@ class ProfileCurve:
 
     def phi(self, t, rho):
         """Evaluate phi = (g, f); accepts scalars or numpy arrays."""
+        return self.phi_jet(t, rho)[:2]
+
+    def phi_jet(self, t, rho):
+        """phi = (u, v) = (g, f) with its partials: (u, v, u_t, u_rho, v_t,
+        v_rho), t broadcast against rho.  Each partial is the chain rule
+        through the same zones and blends as the value."""
         t = np.asarray(t, dtype=float)
         rho = np.asarray(rho, dtype=float)
-        bu, bv = self._base(t, rho)
-        lam_base = 0.5 * np.log(bu * bu + bv * bv)
+        bu, bv, bu_t, bu_r, bv_t, bv_r = self._base(t, rho)
+        n2 = bu * bu + bv * bv
+        lam_base = 0.5 * np.log(n2)
         th_base = np.arctan2(bv, bu)
+        # d lam_base = (bu dbu + bv dbv) / n2, d th_base = (bu dbv - bv dbu) / n2
+        lb_t = (bu * bu_t + bv * bv_t) / n2
+        lb_r = (bu * bu_r + bv * bv_r) / n2
+        tb_t = (bu * bv_t - bv * bu_t) / n2
+        tb_r = (bu * bv_r - bv * bu_r) / n2
         s = smooth_step((rho - self.RB0) / (self.RB1 - self.RB0))
+        s_r = smooth_step_d((rho - self.RB0) / (self.RB1 - self.RB0)) / (self.RB1 - self.RB0)
         th_std = np.arctan2(rho, 1.0)
         lam_std = t + 0.5 * np.log1p(rho**2)
+        ts_r = 1.0 / (1.0 + rho**2)
+        ls_r = rho * ts_r
         lam_mid = (1 - s) * lam_base + s * lam_std
         th_mid = (1 - s) * th_base + s * th_std
+        # each blend (1 - s) a + s b has partials (1 - s) da + s db + ds (b - a)
+        lm_t = (1 - s) * lb_t + s
+        lm_r = (1 - s) * lb_r + s * ls_r + s_r * (lam_std - lam_base)
+        tm_t = (1 - s) * tb_t
+        tm_r = (1 - s) * tb_r + s * ts_r + s_r * (th_std - th_base)
         w = smooth_step((t - self.T2) / (self.T3 - self.T2))
+        w_t = smooth_step_d((t - self.T2) / (self.T3 - self.T2)) / (self.T3 - self.T2)
         th_wall = self.twist_angle(rho)
         lam = (1 - w) * lam_mid + w * lam_std
         th = (1 - w) * th_mid + w * th_wall
+        lam_t = (1 - w) * lm_t + w + w_t * (lam_std - lam_mid)
+        lam_r = (1 - w) * lm_r + w * ls_r
+        th_t = (1 - w) * tm_t + w_t * (th_wall - th_mid)
+        th_r = (1 - w) * tm_r + w * self.twist_angle_d(rho)
         radius = np.exp(lam)
         pu, pv = radius * np.cos(th), radius * np.sin(th)
+        # d(pu + i pv) = (pu + i pv)(dlam + i dth), used in the polar zone below
         # exact branches (values agree with the blends, which are flat there;
         # returning the closed forms keeps the walls and the fold zone exact);
-        # the fold formula is spelled out verbatim so it is exact to the bit
+        # the fold formula is spelled out verbatim so it is exact to the bit.
+        # Its partials (-2 (t-1/2), 1) are the base's own for t >= T1.
         bu = np.where(t >= self.T1, rho - (t - 0.5) ** 2 + 1 + self.delta, bu)
         g1, f1 = self.lutz_profile(rho)
-        u = np.where(
-            t <= self.T0,
-            np.exp(t),
-            np.where(
-                rho >= self.RB1,
-                np.exp(t),
-                np.where(
-                    t >= self.T3,
-                    np.exp(t) * g1,
-                    np.where((t <= self.T2) & (rho <= self.RB0), bu, pu),
-                ),
-            ),
-        )
-        v = np.where(
-            t <= self.T0,
-            np.exp(t) * rho,
-            np.where(
-                rho >= self.RB1,
-                np.exp(t) * rho,
-                np.where(
-                    t >= self.T3,
-                    np.exp(t) * f1,
-                    np.where((t <= self.T2) & (rho <= self.RB0), bv, pv),
-                ),
-            ),
-        )
-        return u, v
+        g1_r, f1_r = self.lutz_profile_d(rho)
+        wall = (t <= self.T0) | (rho >= self.RB1)
+        twisted = t >= self.T3
+        core = (t <= self.T2) & (rho <= self.RB0)
 
-    def phi_derivs(self, t, rho, h: float = 1e-6):
-        """(g_t, g_rho, f_t, f_rho): analytic on the exact zones, central
-        differences across the blend zones."""
-        t = np.asarray(t, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        tc = np.clip(t, h, 1.0 - h)
-        rc = np.clip(rho, h, self.rho_max - h)
-        up, vp = self.phi(tc + h, rc)
-        um, vm = self.phi(tc - h, rc)
-        ur, vr = self.phi(tc, rc + h)
-        ul, vl = self.phi(tc, rc - h)
-        gt = (up - um) / (2 * h)
-        ft = (vp - vm) / (2 * h)
-        gr = (ur - ul) / (2 * h)
-        fr = (vr - vl) / (2 * h)
-        # analytic overrides
-        g1, f1 = self.lutz_profile(rho)
-        g1d, f1d = self.lutz_profile_d(rho)
-        zones = [
-            # standard wall and outer band: phi = e^t (1, rho)
-            (
-                (t <= self.T0) | (rho >= self.RB1),
-                np.exp(t), np.zeros_like(t) + 0.0 * rho,
-                np.exp(t) * rho, np.exp(t) + 0.0 * rho,
-            ),
-            # twisted wall: phi = e^t (g1, f1)
-            (
-                (t >= self.T3) & (rho < self.RB1),
-                np.exp(t) * g1, np.exp(t) * g1d,
-                np.exp(t) * f1, np.exp(t) * f1d,
-            ),
-            # fold zone: phi = (rho - (t-1/2)^2 + 1 + delta, -2 rho (t-1/2))
-            (
-                (self.T1 <= t) & (t <= self.T2) & (rho <= self.RB0),
-                -2.0 * (t - 0.5), np.ones_like(t) + 0.0 * rho,
-                -2.0 * rho, -2.0 * (t - 0.5) + 0.0 * rho,
-            ),
-        ]
-        for mask, zgt, zgr, zft, zfr in zones:
-            gt = np.where(mask, zgt, gt)
-            gr = np.where(mask, zgr, gr)
-            ft = np.where(mask, zft, ft)
-            fr = np.where(mask, zfr, fr)
-        return gt, gr, ft, fr
+        def zones(on_wall, on_twisted, on_core, polar):
+            return np.where(
+                wall,
+                on_wall,
+                np.where(twisted, on_twisted, np.where(core, on_core, polar)),
+            )
+
+        # phi = e^t (1, rho) on the wall, e^t (g1, f1) on the twisted wall,
+        # the base in the core and exp(lam) (cos th, sin th) elsewhere
+        et = np.exp(t)
+        return (
+            zones(et, et * g1, bu, pu),
+            zones(et * rho, et * f1, bv, pv),
+            zones(et, et * g1, bu_t, pu * lam_t - pv * th_t),
+            zones(0.0, et * g1_r, bu_r, pu * lam_r - pv * th_r),
+            zones(et * rho, et * f1, bv_t, pv * lam_t + pu * th_t),
+            zones(et, et * f1_r, bv_r, pv * lam_r + pu * th_r),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -456,42 +442,38 @@ def contact_positivity(
 
 
 # ---------------------------------------------------------------------------
-# phi evaluation and the immersion check
+# the immersion check
 # ---------------------------------------------------------------------------
 
 
-def phi(t: float, rho: float, P: ProfileCurve) -> tuple[float, float]:
-    """Evaluate the assembled profile map at one point."""
-    if not 0 <= t <= 1 or not 0 <= rho <= P.rho_max:
-        raise ValueError(f"(t, rho) = ({t}, {rho}) outside [0,1] x [0, {P.rho_max}]")
-    u, v = P.phi(np.asarray(t, dtype=float), np.asarray(rho, dtype=float))
-    return (float(u), float(v))
+# rows of t per block of the immersion check: bounds its temporaries to
+# _IMMERSION_BLOCK x grid
+_IMMERSION_BLOCK = 64
 
 
 def phi_immersion_check(
     P: ProfileCurve,
     grid: int = 200,
     exclusion: float = 0.05,
-    h: float = 1e-5,
 ) -> float:
-    """Minimum Jacobian determinant of phi over the grid, excluding a disk
-    around the fold point (1/2, 0)."""
+    """Minimum Jacobian determinant u_t v_rho - u_rho v_t of phi, from
+    ``ProfileCurve.phi_jet``, over the grid x grid points of [0, 1] x
+    [0, rho_max], excluding a disk around the fold point (1/2, 0)."""
     if exclusion <= 0:
         raise ValueError("exclusion radius must be positive")
-    # t along axis 0 and rho along axis 1 as broadcast shapes (grid, 1) and
-    # (1, grid): phi then evaluates every term that depends on one variable
-    # only (the spine quadrature above all) once per grid line, not per point
+    # t along axis 0 and rho along axis 1 as broadcast shapes (block, 1) and
+    # (1, grid): every term that depends on one variable only (the spine
+    # quadrature above all) is computed once per grid line, not per point
     t = np.linspace(0.0, 1.0, grid)[:, None]
     r = np.linspace(0.0, P.rho_max, grid)[None, :]
-    tc = np.clip(t, h, 1.0 - h)
-    rc = np.clip(r, h, P.rho_max - h)
-    up, vp = P.phi(tc + h, rc)
-    um, vm = P.phi(tc - h, rc)
-    ur, vr = P.phi(tc, rc + h)
-    ul, vl = P.phi(tc, rc - h)
-    det = ((up - um) * (vr - vl) - (ur - ul) * (vp - vm)) / (4.0 * h * h)
-    mask = (t - 0.5) ** 2 + r**2 > exclusion**2
-    return float(np.where(mask, det, np.inf).min())
+    lowest = np.inf
+    for i in range(0, grid, _IMMERSION_BLOCK):
+        tb = t[i:i + _IMMERSION_BLOCK]
+        _, _, u_t, u_r, v_t, v_r = P.phi_jet(tb, r)
+        det = u_t * v_r - u_r * v_t
+        mask = (tb - 0.5) ** 2 + r**2 > exclusion**2
+        lowest = min(lowest, float(np.where(mask, det, np.inf).min()))
+    return lowest
 
 
 # ---------------------------------------------------------------------------
@@ -508,42 +490,9 @@ def lutz_form(pt: ChartPoint, P: ProfileCurve) -> TwoForm:
     t, rho = pt.coords[0], pt.coords[1]
     if not 0 <= t <= 1 or not 0 <= rho <= P.rho_max:
         raise ValueError("point outside the model domain")
-    gt, gr, ft, fr = P.phi_derivs(np.asarray(t, dtype=float), np.asarray(rho, dtype=float))
+    _, _, gt, gr, ft, fr = P.phi_jet(t, rho)
     return TwoForm(
         (0.0, float(ft), float(gt), float(fr), float(gr), 0.0), CYLINDRICAL
-    )
-
-
-def lutz_form_cartesian(pt: ChartPoint, P: ProfileCurve) -> TwoForm:
-    """The same form pushed to the cartesian basis (T, x, y, lam) via
-    rho = (x^2 + y^2)/2, mu = polar angle; smooth across rho = 0 because the
-    singular ratio f_t / (2 rho) has a finite limit there."""
-    if pt.chart == CYLINDRICAL:
-        t, rho, mu = pt.coords[0], pt.coords[1], pt.coords[2]
-        r = math.sqrt(2.0 * rho)
-        x, y = r * math.cos(mu), r * math.sin(mu)
-    else:
-        T, x, y = pt.coords[0], pt.coords[1], pt.coords[2]
-        t, rho = T + 0.5, (x * x + y * y) / 2.0
-    gt, gr, ft, fr = P.phi_derivs(np.asarray(t, dtype=float), np.asarray(rho, dtype=float))
-    gt, gr, ft, fr = float(gt), float(gr), float(ft), float(fr)
-    if rho > 1e-8:
-        ratio = ft / (2.0 * rho)
-    else:
-        # f_t vanishes on the axis here; the limit is the rho-derivative
-        h = 1e-6
-        _, _, ft_h, _ = P.phi_derivs(np.asarray(t, dtype=float), np.asarray(h, dtype=float))
-        ratio = float(ft_h) / (2.0 * h)
-    return TwoForm(
-        (
-            -ratio * y,           # dT^dx
-            ratio * x,            # dT^dy
-            gt,                   # dT^dlam
-            fr,                   # dx^dy
-            gr * x,               # dx^dlam
-            gr * y,               # dy^dlam
-        ),
-        CARTESIAN,
     )
 
 

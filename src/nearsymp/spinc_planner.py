@@ -242,13 +242,6 @@ def custom_circle_plan(signs: Sequence[int]) -> CirclePlan:
     return CirclePlan(signs=signs, levels=_uniform_levels(len(signs)), d=sum(signs))
 
 
-def genus_reserve(g: int, l: int) -> int:
-    """Minimal stabilized genus g + l, with l extra 1-handles to absorb."""
-    if g < 0 or l < 0:
-        raise ValueError("genus and 1-handle count must be non-negative")
-    return g + l
-
-
 def e_decomposition(g: int, m: int) -> HandleCounts:
     """Handle decomposition of the standard capping piece: one 0-handle,
     2g + m - 1 one-handles and m two-handles, each framed +1."""

@@ -140,9 +140,12 @@ class SymmetricForm:
     def __post_init__(self):
         M = _as_int_matrix(self.matrix)
         object.__setattr__(self, "matrix", M)
-        n, m = _shape(M)
-        if n != m:
-            raise ValueError(f"form matrix must be square, got {n}x{m}")
+        n = len(M)
+        if any(len(row) != n for row in M):
+            raise ValueError(
+                f"form matrix must be square, got {n} rows of lengths "
+                f"{[len(row) for row in M]}"
+            )
         for i in range(n):
             for j in range(n):
                 if M[i][j] != M[j][i]:

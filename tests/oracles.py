@@ -189,30 +189,23 @@ def brute_force_plans(max_total: int = 24, tight: bool = False) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# profile-map immersion check on the full meshgrid
+# partials of the profile map by central differences
 # ---------------------------------------------------------------------------
 
 
-def immersion_meshgrid_axes(P, grid: int, h: float = 1e-5):
-    """The clipped (t, rho) meshgrids of shape (grid, grid) at which the
-    immersion check evaluates phi before its +-h shifts."""
-    t = np.linspace(0.0, 1.0, grid)
-    r = np.linspace(0.0, P.rho_max, grid)
-    T, R = np.meshgrid(t, r, indexing="ij")
-    return T, R, np.clip(T, h, 1.0 - h), np.clip(R, h, P.rho_max - h)
-
-
-def immersion_check_meshgrid(P, grid: int = 200, exclusion: float = 0.05, h: float = 1e-5) -> float:
-    """Minimum central-difference Jacobian determinant of phi, evaluating
-    phi at every one of the grid x grid points (no broadcasting)."""
-    T, R, Tc, Rc = immersion_meshgrid_axes(P, grid, h)
-    up, vp = P.phi(Tc + h, Rc)
-    um, vm = P.phi(Tc - h, Rc)
-    ur, vr = P.phi(Tc, Rc + h)
-    ul, vl = P.phi(Tc, Rc - h)
-    det = ((up - um) * (vr - vl) - (ur - ul) * (vp - vm)) / (4.0 * h * h)
-    mask = (T - 0.5) ** 2 + R**2 > exclusion**2
-    return float(np.where(mask, det, np.inf).min())
+def phi_partials_central(P, t, rho, h: float = 1e-6):
+    """(u_t, u_rho, v_t, v_rho) of phi = (u, v), each a central difference
+    of step h; t and rho must lie at least h inside the domain."""
+    up, vp = P.phi(t + h, rho)
+    um, vm = P.phi(t - h, rho)
+    ur, vr = P.phi(t, rho + h)
+    ul, vl = P.phi(t, rho - h)
+    return (
+        (up - um) / (2 * h),
+        (ur - ul) / (2 * h),
+        (vp - vm) / (2 * h),
+        (vr - vl) / (2 * h),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,12 @@ def test_fixtures_parse(name):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_round_trip(name, tmp_path):
-    mi = parse_input(fixture_path(name))
+    # with every optional field set, so that to_dict writes each key the
+    # input format has and the parser must accept all of them
+    mi = dataclasses.replace(
+        parse_input(fixture_path(name)),
+        distinguished_pair=(0, 0), x_prime=(1, 1), z=(0, 0), signs=(-1, 1),
+    )
     out = tmp_path / "echo.json"
     emit_input(mi, out)
     again = parse_input(out)
@@ -250,6 +255,35 @@ def test_cli_certify_malformed_input_exits_2(tmp_path, capsys, patch, flags, fie
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err
+
+
+def _set_cls(data):
+    data["surfaces"][0]["cls"] = 3
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d: d.update(distinguished_pair={"two_handle": 0}), "one_handle"),
+        (_set_cls, "surfaces[0].cls"),
+        (lambda d: d.update(intersection_form=[[1, 0], [0]]), "intersection_form"),
+        (lambda d: d.update(b1=None), "b1"),
+        (lambda d: d.update(edges=[[0, 7]]), "edges[0]"),
+        (lambda d: d.update(colour="blue"), "colour"),
+    ],
+    ids=["pair-without-one-handle", "scalar-class", "ragged-form", "null-b1",
+         "edge-to-missing-surface", "unknown-field"],
+)
+def test_cli_certify_rejects_malformed_field(tmp_path, capsys, mutate, field):
+    data = json.loads(fixture_path("three_cp2.json").read_text())
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["certify", str(path), "--grid", "20"]) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert "Traceback" not in captured.err
+    assert "overall" not in captured.out
 
 
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])

@@ -1,6 +1,5 @@
 """Integer contact-invariant arithmetic: connected sums, stabilization
-plans, framing rules, self-linking menus, and the extension-obstruction
-calculus."""
+plans, framing rules, and the extension-obstruction calculus."""
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +20,8 @@ from nearsymp.contact_kit import (
     obstruction_from_linking_matrix,
     obstruction_from_lk,
     plan_stabilization,
-    split_obstruction,
     theta_from_h,
     total_obstruction,
-    transverse_unknot,
 )
 
 from oracles import brute_force_plans
@@ -124,7 +121,7 @@ def test_plan_minimal_and_replayable(dtb, drot, overtwisted):
 
 
 # ---------------------------------------------------------------------------
-# framings and self-linking
+# framings
 # ---------------------------------------------------------------------------
 
 
@@ -134,15 +131,6 @@ def test_handle_framing():
     assert handle_framing(0, -1) == 1
     with pytest.raises(ValueError):
         handle_framing(0, 0)
-
-
-def test_transverse_unknot():
-    assert transverse_unknot(-1, overtwisted=False) == -1
-    assert transverse_unknot(1, overtwisted=True) == 1
-    with pytest.raises(ValueError):
-        transverse_unknot(1, overtwisted=False)
-    with pytest.raises(ValueError):
-        transverse_unknot(0, overtwisted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +166,6 @@ def test_two_cancelling_circles_theta_sum():
     # of two standard ball extensions at -1/2 each
     recs = [theta_from_h(obstruction_from_lk(lk)) for lk in (-1, 1)]
     assert sum(r.theta_times_2 for r in recs) == -2
-
-
-def test_split_obstruction():
-    assert split_obstruction(0, -1) == (-1, 1)
-    assert split_obstruction(5, 5) == (5, 0)
-    assert split_obstruction(-3, -1) == (-1, -2)
-
-
-@given(st.integers(-30, 30), st.integers(-30, 30))
-def test_split_obstruction_resums(h, k1):
-    a, b = split_obstruction(h, k1)
-    assert a + b == h
 
 
 def test_obstruction_from_linking_matrix():

@@ -24,10 +24,8 @@ from nearsymp.local_model import (
     J_near,
     level_schedule_check,
     lutz_form,
-    lutz_form_cartesian,
     metric_g,
     omega_near_Z,
-    phi,
     phi_immersion_check,
     smooth_step,
     smooth_step_d,
@@ -35,7 +33,7 @@ from nearsymp.local_model import (
 )
 from nearsymp.spinc_planner import plan_circles
 
-from oracles import hodge_star_general, immersion_check_meshgrid, immersion_meshgrid_axes
+from oracles import hodge_star_general, phi_partials_central
 
 P = ProfileCurve()
 G0 = Metric4(1.0)
@@ -157,29 +155,22 @@ def test_contact_positivity_twisted_profile():
 
 
 def test_phi_fold_point_value():
-    assert phi(0.5, 0.0, P) == (1.0 + P.delta, 0.0)
+    assert P.phi(0.5, 0.0) == (1.0 + P.delta, 0.0)
 
 
 def test_phi_left_corner_value():
-    assert phi(0.0, 0.0, P) == (1.0, 0.0)
+    assert P.phi(0.0, 0.0) == (1.0, 0.0)
 
 
 def test_phi_near_fold_formula():
     t, rho = 0.51, 0.001
-    u, v = phi(t, rho, P)
+    u, v = P.phi(t, rho)
     assert u == rho - (t - 0.5) ** 2 + 1 + P.delta
     assert v == -2.0 * rho * (t - 0.5)
 
 
-def test_phi_rejects_out_of_domain():
-    with pytest.raises(ValueError):
-        phi(1.5, 0.0, P)
-    with pytest.raises(ValueError):
-        phi(0.5, 0.6, P)
-
-
 def test_phi_jacobian_vanishes_at_fold():
-    gt, gr, ft, fr = P.phi_derivs(np.asarray(0.5), np.asarray(1e-5))
+    _, _, gt, gr, ft, fr = P.phi_jet(0.5, 1e-5)
     det = gt * fr - gr * ft
     assert abs(det) < 1e-3
 
@@ -193,26 +184,63 @@ def test_phi_immersion_rejects_bad_exclusion():
         phi_immersion_check(P, exclusion=0.0)
 
 
+def test_min_jacobian_det_at_grid_200():
+    # on the grid the minimum sits in the fold zone at rho = 0, where the
+    # determinant is exactly 4 (t - 1/2)^2 + 2 rho; t = 89/199 is the grid
+    # line nearest the exclusion disk
+    expected = 4 * (89 / 199 - 0.5) ** 2
+    assert abs(phi_immersion_check(P, grid=200) - expected) <= 1e-15 * expected
+
+
 IMMERSION_CURVES = [(1.0, 0.2), (0.6, 0.1), (1.5, 0.3), (0.83, 0.17)]
+
+
+def _meshgrid(curve, grid):
+    return np.meshgrid(
+        np.linspace(0.0, 1.0, grid), np.linspace(0.0, curve.rho_max, grid), indexing="ij"
+    )
 
 
 @pytest.mark.parametrize("eps,delta", IMMERSION_CURVES)
 @pytest.mark.parametrize("grid", [2, 3, 80, 200])
 def test_phi_immersion_check_equals_meshgrid_reference(eps, delta, grid):
+    # grids 2 and 3 are one short block, 80 and 200 end on a partial block
     curve = ProfileCurve(eps=eps, delta=delta)
-    assert phi_immersion_check(curve, grid=grid) == immersion_check_meshgrid(curve, grid=grid)
+    T, R = _meshgrid(curve, grid)
+    _, _, u_t, u_r, v_t, v_r = curve.phi_jet(T, R)
+    det = u_t * v_r - u_r * v_t
+    reference = float(np.where((T - 0.5) ** 2 + R**2 > 0.05**2, det, np.inf).min())
+    assert phi_immersion_check(curve, grid=grid) == reference
 
 
 @pytest.mark.parametrize("eps,delta", IMMERSION_CURVES)
 def test_phi_on_broadcast_axes_matches_meshgrid_bytes(eps, delta):
-    h = 1e-5
     curve = ProfileCurve(eps=eps, delta=delta)
-    _, _, Tc, Rc = immersion_meshgrid_axes(curve, 200, h)
-    tc, rc = Tc[:, :1], Rc[:1, :]
-    for dt, dr in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
-        for full, axes in zip(curve.phi(Tc + dt, Rc + dr), curve.phi(tc + dt, rc + dr)):
-            assert axes.shape == full.shape
-            assert axes.tobytes() == full.tobytes()
+    T, R = _meshgrid(curve, 200)
+    full = curve.phi_jet(T, R)
+    axes = curve.phi_jet(T[:, :1], R[:1, :])
+    for a, b in zip(full, axes):
+        assert b.shape == a.shape
+        assert b.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("eps,delta", IMMERSION_CURVES)
+def test_phi_jet_matches_central_differences(eps, delta):
+    curve = ProfileCurve(eps=eps, delta=delta)
+    rng = np.random.default_rng(11)
+    t = rng.uniform(1e-3, 1.0 - 1e-3, 4000)
+    rho = rng.uniform(1e-3, curve.rho_max - 1e-3, 4000)
+    # off the zone edges, where the blends switch to closed forms
+    t_edges = np.array([curve.T0, curve.T1, curve.T2, curve.T3])
+    rho_edges = np.array([curve.RB0, curve.RB1])
+    off = (np.abs(t[:, None] - t_edges).min(axis=1) > 1e-5) & (
+        np.abs(rho[:, None] - rho_edges).min(axis=1) > 1e-5
+    )
+    t, rho = t[off], rho[off]
+    jet = np.array(curve.phi_jet(t, rho)[2:])
+    reference = np.array(phi_partials_central(curve, t, rho))
+    scale = np.abs(jet).max(axis=0)
+    assert np.all(np.abs(jet - reference) <= 1e-6 * scale)
 
 
 def _left_rate_full_bisection(curve):
@@ -263,8 +291,10 @@ def test_lutz_form_requires_cylindrical_point():
 
 
 def test_lutz_form_vanishes_on_circle():
-    w = lutz_form_cartesian(ChartPoint(CARTESIAN, (0.0, 0.0, 0.0, 0.0)), P)
-    assert max(abs(c) for c in w.components) < 1e-9
+    # at the circle (t, rho) = (1/2, 0) only the drho^dlam component is left,
+    # and drho = x dx + y dy vanishes on the axis, so the form is zero there
+    w = lutz_form(ChartPoint(CYLINDRICAL, (0.5, 0.0, 0.0, 0.0)), P)
+    assert w.components == (0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 
 
 def test_lutz_form_wedge_positive_off_fold():

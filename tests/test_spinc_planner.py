@@ -17,7 +17,6 @@ from nearsymp.spinc_planner import (
     compute_d,
     custom_circle_plan,
     e_decomposition,
-    genus_reserve,
     noextragenus_case,
     plan_circles,
     plumbing_form,
@@ -163,14 +162,6 @@ def test_circle_plan_rejects_inconsistent_sum():
 # ---------------------------------------------------------------------------
 # genus bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def test_genus_reserve():
-    assert genus_reserve(2, 3) == 5
-    assert genus_reserve(0, 0) == 0
-    assert genus_reserve(1, 4) == 5
-    with pytest.raises(ValueError):
-        genus_reserve(-1, 0)
 
 
 def test_e_decomposition():
