@@ -167,11 +167,12 @@ def _object(value, path: str, known: tuple[str, ...], required: tuple[str, ...] 
 
 
 def _int(value, path: str) -> int:
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CertifyError(path, f"must be an integer, got {value!r}")
-    return value
+    if type(value) is int:
+        return value
+    try:
+        return topo_core.as_int(value)
+    except ValueError:
+        raise CertifyError(path, f"must be an integer, got {value!r}") from None
 
 
 def _list(value, path: str) -> list:
@@ -386,6 +387,49 @@ def emit_certificate(cert: ConstructionCertificate, out_base: str | Path) -> lis
 # the local-model check battery
 # ---------------------------------------------------------------------------
 
+# samples per block of the pointwise identity checks: bounds their batched
+# temporaries to _SAMPLE_BLOCK x 4 x 4
+_SAMPLE_BLOCK = 256
+
+
+def _pointwise_maxima(pts: np.ndarray) -> tuple[float, float, float, float, float]:
+    """Largest deviations of J^2 = -I, J-invariance, self-duality, the Honda
+    form and omega^omega = 2 R^2 over the (T, x, y) samples ``pts``.
+
+    The model is evaluated one sample at a time and its outputs are gathered
+    per block of _SAMPLE_BLOCK samples; each identity is then checked on the
+    whole block at once.
+    """
+    max_j2 = max_compat = max_star = max_honda = max_wedge = 0.0
+    J = np.empty((_SAMPLE_BLOCK, 4, 4))
+    w = np.empty((_SAMPLE_BLOCK, 6))
+    star = np.empty((_SAMPLE_BLOCK, 6))
+    honda = np.empty((_SAMPLE_BLOCK, 6))
+    wedge = np.empty(_SAMPLE_BLOCK)
+    for start in range(0, len(pts), _SAMPLE_BLOCK):
+        block = pts[start:start + _SAMPLE_BLOCK]
+        n = len(block)
+        for i, (T, x, y) in enumerate(block.tolist()):
+            J[i] = local_model.J_near(T, x, y)
+            form = local_model.omega_near_Z(T, x, y)
+            g = local_model.metric_g(T, x, y, 0.5)
+            star[i] = local_model.hodge_star_2form(g, 1, form).components
+            honda[i] = local_model.honda_form(T, x, y).components
+            w[i] = form.components
+            wedge[i] = local_model.wedge_square(form)
+        Jb, wb = J[:n], w[:n]
+        Wb = local_model.form_matrix(wb)
+        T, x, y = block.T
+        R2 = 4 * T * T + x * x + y * y
+        max_j2 = max(max_j2, float(np.abs(Jb @ Jb + np.eye(4)).max()))
+        max_compat = max(
+            max_compat, float(np.abs(Jb.transpose(0, 2, 1) @ Wb @ Jb - Wb).max())
+        )
+        max_star = max(max_star, float(np.abs(star[:n] - wb).max()))
+        max_honda = max(max_honda, float(np.abs(honda[:n] - wb).max()))
+        max_wedge = max(max_wedge, float(np.abs(wedge[:n] - 2 * R2).max()))
+    return max_j2, max_compat, max_star, max_honda, max_wedge
+
 
 def run_local_battery(
     seed: int,
@@ -403,25 +447,7 @@ def run_local_battery(
     pts = rng.uniform(-1.0, 1.0, size=(samples, 3))
     keep = np.sqrt(4 * pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2) >= 1e-3
     pts = pts[keep]
-    max_j2 = max_compat = max_star = max_honda = max_wedge = 0.0
-    I4 = np.eye(4)
-    for T, x, y in pts:
-        J = local_model.J_near(T, x, y)
-        max_j2 = max(max_j2, float(np.abs(J @ J + I4).max()))
-        w = local_model.omega_near_Z(T, x, y)
-        W = w.as_matrix()
-        max_compat = max(max_compat, float(np.abs(J.T @ W @ J - W).max()))
-        g = local_model.metric_g(T, x, y, 0.5)
-        st = local_model.hodge_star_2form(g, 1, w)
-        max_star = max(
-            max_star, max(abs(a - b) for a, b in zip(st.components, w.components))
-        )
-        hf = local_model.honda_form(T, x, y)
-        max_honda = max(
-            max_honda, max(abs(a - b) for a, b in zip(hf.components, w.components))
-        )
-        R2 = 4 * T * T + x * x + y * y
-        max_wedge = max(max_wedge, abs(local_model.wedge_square(w) - 2 * R2))
+    max_j2, max_compat, max_star, max_honda, max_wedge = _pointwise_maxima(pts)
 
     def omega_field(coords):
         return local_model.omega_near_Z(coords[0], coords[1], coords[2])
@@ -569,6 +595,12 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
             "dimension consistency",
             f"class vector has length {len(mi.c)}, form rank is {b2}",
         )
+    for name in ("x_prime", "z"):
+        cochain = getattr(mi, name)
+        if cochain is not None and len(cochain) != b2:
+            raise CertifyError(
+                f"spinc.{name}", f"has length {len(cochain)}, form rank is {b2}"
+            )
     for i, s in enumerate(mi.configuration.vertices):
         if len(s.cls) != b2:
             raise CertifyError(
@@ -883,7 +915,10 @@ def _load_matrix(arg: str) -> SymmetricForm:
         data = data.get("matrix", data.get("intersection_form"))
         if data is None:
             raise CertifyError("matrix", "no 'matrix' field in JSON object")
-    return SymmetricForm(matrix=data)
+    try:
+        return SymmetricForm(matrix=data)
+    except (ValueError, TypeError) as exc:
+        raise CertifyError("matrix", str(exc)) from exc
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

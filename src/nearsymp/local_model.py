@@ -32,6 +32,7 @@ CYLINDRICAL = "cylindrical"
 # index pairs (a, b), a < b, matching the ordered 2-form bases above, with
 # coordinates numbered 0..3 in chart order
 _BASIS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PAIR_ROWS, _PAIR_COLS = (list(v) for v in zip(*_BASIS_PAIRS))
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +62,17 @@ class ChartPoint:
         object.__setattr__(self, "coords", coords)
 
 
+def form_matrix(components) -> np.ndarray:
+    """Antisymmetric matrices of 2-forms from their components in the
+    ordered basis: W[a, b] = -W[b, a] is the dx_a^dx_b component.
+    Components of shape (..., 6) give matrices of shape (..., 4, 4)."""
+    c = np.asarray(components, dtype=float)
+    W = np.zeros(c.shape[:-1] + (4, 4))
+    W[..., _PAIR_ROWS, _PAIR_COLS] = c
+    W[..., _PAIR_COLS, _PAIR_ROWS] = -c
+    return W
+
+
 @dataclass(frozen=True)
 class TwoForm:
     """Six components in the ordered 2-form basis of the tagged chart."""
@@ -77,11 +89,7 @@ class TwoForm:
         object.__setattr__(self, "components", comps)
 
     def as_matrix(self) -> np.ndarray:
-        W = np.zeros((4, 4))
-        for c, (a, b) in zip(self.components, _BASIS_PAIRS):
-            W[a, b] = c
-            W[b, a] = -c
-        return W
+        return form_matrix(self.components)
 
     def __add__(self, other: "TwoForm") -> "TwoForm":
         if self.basis != other.basis:
@@ -133,10 +141,12 @@ def smooth_step(u):
     """C-infinity step: 0 for u <= 0, 1 for u >= 1, strictly increasing
     in between, flat to all orders at both ends."""
     # every divisor is at least 1e-300 and every exp argument is <= 0, so
-    # nothing here divides by zero or overflows
+    # nothing here divides by zero or overflows; at the clamped ends the
+    # argument is -1e300, whose exp is exactly 0.0, so a = 0 at u = 0 and
+    # b = 0 at u = 1 need no separate branch
     u = np.minimum(np.maximum(u, 0.0), 1.0)
-    a = np.where(u > 0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
-    b = np.where(u < 1, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
+    a = np.exp(-1.0 / np.maximum(u, 1e-300))
+    b = np.exp(-1.0 / np.maximum(1.0 - u, 1e-300))
     return a / (a + b)
 
 

@@ -8,15 +8,31 @@ enters any trusted path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 IntMatrix = list[list[int]]
 
 
+def as_int(v) -> int:
+    """An integer entry as a Python int.  Integers (Python or numpy) and
+    integral floats convert; a fractional float, a bool, a string or any
+    other value raises ValueError, where int() would truncate or parse it."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if not isinstance(v, (bool, float)):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"entries must be integers, got {v!r}")
+
+
 def _as_int_matrix(A) -> IntMatrix:
-    """Copy input (nested sequence / numpy array) into lists of Python ints."""
-    return [[int(v) for v in row] for row in A]
+    """Copy input (nested sequence / numpy array) into lists of Python ints
+    by the rule of ``as_int``; Python ints, the common case, pass as is."""
+    return [[v if type(v) is int else as_int(v) for v in row] for row in A]
 
 
 def _shape(A: IntMatrix) -> tuple[int, int]:
@@ -109,7 +125,7 @@ class ChainComplex:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "cells_per_degree", tuple(int(n) for n in self.cells_per_degree)
+            self, "cells_per_degree", tuple(as_int(n) for n in self.cells_per_degree)
         )
         if len(self.cells_per_degree) != 5:
             raise ValueError(

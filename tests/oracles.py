@@ -222,16 +222,76 @@ for _perm in itertools.permutations(range(4)):
     _LEVI_CIVITA[_perm] = -1.0 if _inversions % 2 else 1.0
 
 
+def form_matrix_loop(w):
+    """The antisymmetric 4x4 matrix of the 2-form with components w, one
+    entry pair at a time."""
+    W = np.zeros((4, 4))
+    for c, (a, b) in zip(w, _BASIS_PAIRS):
+        W[a, b] = c
+        W[b, a] = -c
+    return W
+
+
 def hodge_star_general(G, orientation: int, w) -> tuple[float, ...]:
     """Hodge star of the 2-form with components w for the symmetric positive
     definite 4x4 metric G: raise both indices with G^-1 and contract with
     sqrt(det G) times the Levi-Civita symbol."""
     G = np.asarray(G, dtype=float)
-    W = np.zeros((4, 4))
-    for c, (a, b) in zip(w, _BASIS_PAIRS):
-        W[a, b] = c
-        W[b, a] = -c
+    W = form_matrix_loop(w)
     Ginv = np.linalg.inv(G)
     W_up = Ginv @ W @ Ginv
     star = 0.5 * np.sqrt(np.linalg.det(G)) * np.einsum("ab,abcd->cd", W_up, _LEVI_CIVITA)
     return tuple(float(orientation * star[a, b]) for a, b in _BASIS_PAIRS)
+
+
+# ---------------------------------------------------------------------------
+# the battery's pointwise identities, one sample at a time
+# ---------------------------------------------------------------------------
+
+
+def smooth_step_where(u):
+    """smooth_step with each clamped end selected by np.where: the
+    bit-for-bit reference of the branch-free form."""
+    u = np.minimum(np.maximum(u, 0.0), 1.0)
+    a = np.where(u > 0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
+    b = np.where(u < 1, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
+    return a / (a + b)
+
+
+def pointwise_identities_loop(seed: int, samples: int) -> dict:
+    """The battery's pointwise identity maxima, each identity checked on one
+    sample at a time.  The samples are the battery's: its generator's first
+    draw, minus the points within 1e-3 of the circle."""
+    from nearsymp import local_model
+
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, size=(samples, 3))
+    keep = np.sqrt(4 * pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2) >= 1e-3
+    pts = pts[keep]
+    max_j2 = max_compat = max_star = max_honda = max_wedge = 0.0
+    I4 = np.eye(4)
+    for T, x, y in pts:
+        J = local_model.J_near(T, x, y)
+        max_j2 = max(max_j2, float(np.abs(J @ J + I4).max()))
+        w = local_model.omega_near_Z(T, x, y)
+        W = form_matrix_loop(w.components)
+        max_compat = max(max_compat, float(np.abs(J.T @ W @ J - W).max()))
+        g = local_model.metric_g(T, x, y, 0.5)
+        st = local_model.hodge_star_2form(g, 1, w)
+        max_star = max(
+            max_star, max(abs(a - b) for a, b in zip(st.components, w.components))
+        )
+        hf = local_model.honda_form(T, x, y)
+        max_honda = max(
+            max_honda, max(abs(a - b) for a, b in zip(hf.components, w.components))
+        )
+        R2 = 4 * T * T + x * x + y * y
+        max_wedge = max(max_wedge, abs(local_model.wedge_square(w) - 2 * R2))
+    return {
+        "samples": int(len(pts)),
+        "max_J_squared_deviation": max_j2,
+        "max_compatibility_deviation": max_compat,
+        "max_selfdual_deviation": max_star,
+        "max_honda_deviation": max_honda,
+        "max_wedge_square_deviation": max_wedge,
+    }

@@ -16,7 +16,9 @@ from nearsymp.certify_cli import (
     main,
     manifold_input_from_dict,
     parse_input,
+    run_local_battery,
 )
+from oracles import pointwise_identities_loop
 
 FIXTURES = ["three_cp2.json", "circle_times_y.json"]
 
@@ -270,9 +272,11 @@ def _set_cls(data):
         (lambda d: d.update(b1=None), "b1"),
         (lambda d: d.update(edges=[[0, 7]]), "edges[0]"),
         (lambda d: d.update(colour="blue"), "colour"),
+        (lambda d: d["spinc"].update(x_prime=[1]), "spinc.x_prime"),
+        (lambda d: d["spinc"].update(z=[0, 0, 0, 0]), "spinc.z"),
     ],
     ids=["pair-without-one-handle", "scalar-class", "ragged-form", "null-b1",
-         "edge-to-missing-surface", "unknown-field"],
+         "edge-to-missing-surface", "unknown-field", "short-x-prime", "long-z"],
 )
 def test_cli_certify_rejects_malformed_field(tmp_path, capsys, mutate, field):
     data = json.loads(fixture_path("three_cp2.json").read_text())
@@ -284,6 +288,41 @@ def test_cli_certify_rejects_malformed_field(tmp_path, capsys, mutate, field):
     assert field in captured.err
     assert "Traceback" not in captured.err
     assert "overall" not in captured.out
+
+
+def _fractional_form(tmp_path):
+    data = json.loads(fixture_path("three_cp2.json").read_text())
+    data["intersection_form"][0][0] = 1.7
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    return ["certify", str(path), "--grid", "20"]
+
+
+def _fractional_count(tmp_path):
+    data = json.loads(fixture_path("three_cp2.json").read_text())
+    data["handle_counts"] = [1, 0, 3.9, 0, 1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    return ["certify", str(path), "--grid", "20"]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (_fractional_form, "intersection_form"),
+        (_fractional_count, "handle_counts"),
+        (lambda tmp_path: ["signature", "[[1.7,0],[0,1]]"], "matrix"),
+    ],
+    ids=["form-entry", "handle-count", "signature-matrix"],
+)
+def test_cli_rejects_fractional_integer_entries(tmp_path, capsys, argv, field):
+    # int() would truncate 1.7 to 1 and 3.9 to 3 and carry on with exit 0
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert "must be integers" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])
@@ -301,6 +340,16 @@ def test_cli_bad_matrix_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrix", ["5", '{"matrix": 3}', "[[true]]"])
+def test_cli_signature_of_a_non_matrix_exits_2(capsys, matrix):
+    # a scalar raised a TypeError traceback (exit 1) and [[true]] printed 1
+    assert main(["signature", matrix]) == 2
+    captured = capsys.readouterr()
+    assert "matrix" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_cli_local_check(capsys, tmp_path):
     out = tmp_path / "battery.json"
     code = main(["local-check", "--grid", "60", "--out", str(out)])
@@ -310,3 +359,15 @@ def test_cli_local_check(capsys, tmp_path):
     summary = json.loads(out.read_text())
     assert summary["min_jacobian_det"] > 0
     assert summary["fold_zone_error"] == 0.0
+
+
+@pytest.mark.parametrize("samples", [1, 255, 256, 257, 2000])
+def test_battery_identities_match_the_per_sample_loop(samples):
+    # one short block, one exact block, a partial last block and many blocks
+    summary, _ = run_local_battery(
+        seed=11, grid=2, tolerance=1e-9, eps=1.0, delta=0.2, samples=samples
+    )
+    want = pointwise_identities_loop(11, samples)
+    assert want["samples"] == samples
+    for key, value in want.items():
+        assert summary[key] == value, key

@@ -19,6 +19,7 @@ from nearsymp.local_model import (
     contact_positivity,
     contact_profile,
     d_omega_numeric,
+    form_matrix,
     hodge_star_2form,
     honda_form,
     J_near,
@@ -33,7 +34,12 @@ from nearsymp.local_model import (
 )
 from nearsymp.spinc_planner import plan_circles
 
-from oracles import hodge_star_general, phi_partials_central
+from oracles import (
+    form_matrix_loop,
+    hodge_star_general,
+    phi_partials_central,
+    smooth_step_where,
+)
 
 P = ProfileCurve()
 G0 = Metric4(1.0)
@@ -58,6 +64,41 @@ def test_smooth_step_endpoints_and_monotonicity():
     u = np.linspace(0, 1, 200)
     v = smooth_step(u)
     assert np.all(np.diff(v) >= 0)
+
+
+SMOOTH_STEP_EDGES = [
+    0.0, -0.0, 1.0, 5e-324, 1e-310, 1e-300, 2.0**-53, 1.0 - 2.0**-53, 1.0 - 1e-300,
+    1e-3, 0.999, 0.5, math.inf, -math.inf, 1e308, -1e308,
+]
+
+
+def test_smooth_step_matches_the_where_form_bit_for_bit():
+    rng = np.random.default_rng(7)
+    u = np.concatenate([
+        rng.uniform(-0.5, 1.5, 20_000),
+        rng.uniform(0.0, 1e-2, 5_000),
+        1.0 - rng.uniform(0.0, 1e-2, 5_000),
+        SMOOTH_STEP_EDGES,
+    ])
+    got = smooth_step(u)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), smooth_step_where(u).view(np.int64))
+
+
+@pytest.mark.parametrize("u", SMOOTH_STEP_EDGES + [0.3, 0.7])
+def test_smooth_step_scalar_value_and_type(u):
+    got, want = smooth_step(u), smooth_step_where(u)
+    assert type(got) is type(want)
+    assert np.array_equal(np.float64(got).view(np.int64), np.float64(want).view(np.int64))
+
+
+def test_smooth_step_nan_stays_nan_without_a_warning():
+    with np.errstate(all="raise"):
+        got = smooth_step(np.array([np.nan, 0.5]))
+    assert np.isnan(got[0]) and not np.isnan(got[1])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(smooth_step_where(math.nan))
+    assert np.isnan(smooth_step(math.nan))
 
 
 def test_smooth_step_derivative_matches_finite_differences():
@@ -98,6 +139,14 @@ def test_two_form_validation_and_arithmetic():
 def test_two_form_matrix_is_antisymmetric():
     W = omega_near_Z(0.3, -0.2, 0.7).as_matrix()
     assert np.allclose(W, -W.T)
+
+
+def test_form_matrix_stacks_the_per_form_matrices():
+    comps = np.random.default_rng(3).normal(size=(3, 5, 6))
+    W = form_matrix(comps)
+    assert W.shape == (3, 5, 4, 4)
+    for idx in np.ndindex(3, 5):
+        assert np.array_equal(W[idx], form_matrix_loop(comps[idx]))
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,21 @@ def test_symmetric_form_rejects_nonsquare():
         SymmetricForm([[0, 1]])
 
 
+@pytest.mark.parametrize("entry", [1.7, -0.5, True, "1", None, float("nan"), float("inf")])
+def test_integer_entries_reject_what_int_would_truncate_or_parse(entry):
+    with pytest.raises(ValueError, match="must be integers"):
+        SymmetricForm([[entry, 0], [0, 1]])
+    with pytest.raises(ValueError, match="must be integers"):
+        ChainComplex((1, 0, entry, 0, 1))
+
+
+def test_integer_entries_accept_integral_floats_and_numpy_ints():
+    Q = SymmetricForm(np.array([[2, 1], [1, 1]]))
+    assert SymmetricForm([[2.0, 1], [1.0, np.int64(1)]]).matrix == Q.matrix == [[2, 1], [1, 1]]
+    assert all(type(v) is int for row in Q.matrix for v in row)
+    assert ChainComplex((1.0, 0, np.int32(3), 0, 1)).cells_per_degree == (1, 0, 3, 0, 1)
+
+
 def test_symmetric_form_determinant():
     assert SymmetricForm([[2, 1], [1, 1]]).det() == 1
     assert SymmetricForm(E8).det() == 1
