@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -29,12 +29,18 @@ from .spinc_planner import ConfigurationGraph, SurfaceSpec
 from .topo_core import SymmetricForm
 
 DEFAULT_SEED = 20060401
-DEFAULT_GRID = 200
 MIN_GRID = 2  # the immersion grid spans [0, 1] x [0, rho_max] only from two lines per axis
-DEFAULT_PROFILE_EPS = 1.0
-DEFAULT_PROFILE_DELTA = 0.2
-DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SAMPLES = 2000
+
+# the options that tune the local model, each with its JSON and flag type;
+# an option's default is the ManifoldInput field of the same name
+_OPTIONS = (
+    ("tolerance", float),
+    ("grid", int),
+    ("seed", int),
+    ("profile_eps", float),
+    ("profile_delta", float),
+)
 
 
 def _native(obj):
@@ -63,9 +69,18 @@ class CertifyError(Exception):
         self.detail = detail
 
 
-def _check_grid(grid: int) -> None:
+def _check_options(tolerance: float, grid: int, seed: int, eps: float, delta: float) -> None:
+    """Reject option values the local-model battery cannot use, naming the
+    option."""
+    if not 0 <= tolerance < math.inf:
+        raise CertifyError("tolerance", f"must be finite and >= 0, got {tolerance}")
     if grid < MIN_GRID:
         raise CertifyError("grid", f"must be at least {MIN_GRID}, got {grid}")
+    if seed < 0:
+        raise CertifyError("seed", f"must be >= 0, got {seed}")
+    for name, value in (("profile_eps", eps), ("profile_delta", delta)):
+        if not 0 < value < math.inf:
+            raise CertifyError(name, f"must be finite and > 0, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -87,56 +102,15 @@ class ManifoldInput:
     x_prime: Optional[tuple[int, ...]] = None
     z: Optional[tuple[int, ...]] = None
     signs: Optional[tuple[int, ...]] = None
-    tolerance: float = DEFAULT_TOLERANCE
-    grid: int = DEFAULT_GRID
+    tolerance: float = 1e-9
+    grid: int = 200
     seed: int = DEFAULT_SEED
-    profile_eps: float = DEFAULT_PROFILE_EPS
-    profile_delta: float = DEFAULT_PROFILE_DELTA
+    profile_eps: float = 1.0
+    profile_delta: float = 0.2
 
     def __post_init__(self):
         # also runs for CLI overrides applied through dataclasses.replace
-        _check_grid(self.grid)
-
-    def to_dict(self) -> dict:
-        data = {
-            "intersection_form": [list(row) for row in self.intersection_form.matrix],
-            "b1": self.b1,
-            "b3": self.b3,
-            "surfaces": [
-                {
-                    "genus": s.genus,
-                    "cls": list(s.cls),
-                    "self_intersection": s.self_intersection,
-                }
-                for s in self.configuration.vertices
-            ],
-            "edges": [list(e) for e in self.configuration.edges],
-            "side_conditions": list(self.configuration.side_conditions),
-            "spinc": {"c": list(self.c)},
-            "options": {
-                "tolerance": self.tolerance,
-                "grid": self.grid,
-                "seed": self.seed,
-                "profile_eps": self.profile_eps,
-                "profile_delta": self.profile_delta,
-            },
-        }
-        if self.handle_counts is not None:
-            data["handle_counts"] = list(self.handle_counts)
-        if self.two_handle_framings is not None:
-            data["two_handle_framings"] = list(self.two_handle_framings)
-        if self.distinguished_pair is not None:
-            data["distinguished_pair"] = {
-                "two_handle": self.distinguished_pair[0],
-                "one_handle": self.distinguished_pair[1],
-            }
-        for name in ("x0", "x_prime", "z"):
-            val = getattr(self, name)
-            if val is not None:
-                data["spinc"][name] = list(val)
-        if self.signs is not None:
-            data["options"]["signs"] = list(self.signs)
-        return data
+        _check_options(self.tolerance, self.grid, self.seed, self.profile_eps, self.profile_delta)
 
 
 # every key of the input format, per JSON object; any other key is rejected
@@ -146,7 +120,7 @@ _TOP_FIELDS = (
 )
 _SURFACE_FIELDS = ("genus", "cls", "self_intersection")
 _SPINC_FIELDS = ("c", "x0", "x_prime", "z")
-_OPTION_FIELDS = ("tolerance", "grid", "seed", "profile_eps", "profile_delta", "signs")
+_OPTION_FIELDS = tuple(name for name, _ in _OPTIONS) + ("signs",)
 _PAIR_FIELDS = ("two_handle", "one_handle")
 
 
@@ -188,7 +162,10 @@ def _ints(value, path: str) -> tuple[int, ...]:
 def _number(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise CertifyError(path, f"must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise CertifyError(path, f"must be finite, got {value!r}") from None
 
 
 def manifold_input_from_dict(data: dict) -> ManifoldInput:
@@ -236,6 +213,13 @@ def manifold_input_from_dict(data: dict) -> ManifoldInput:
         except (ValueError, TypeError) as exc:
             raise CertifyError("handle_counts", str(exc)) from exc
     opts = _object(data.get("options", {}), "options", _OPTION_FIELDS)
+    options = {
+        name: (_int if kind is int else _number)(opts[name], f"options.{name}")
+        for name, kind in _OPTIONS
+        if name in opts
+    }
+    if "signs" in opts:
+        options["signs"] = _ints(opts["signs"], "options.signs")
     pair = None
     if "distinguished_pair" in data:
         pair = _object(data["distinguished_pair"], "distinguished_pair", _PAIR_FIELDS, _PAIR_FIELDS)
@@ -244,27 +228,23 @@ def manifold_input_from_dict(data: dict) -> ManifoldInput:
     def optional_ints(obj, key, prefix=""):
         return _ints(obj[key], prefix + key) if key in obj else None
 
-    return ManifoldInput(
-        intersection_form=Q,
-        b1=_int(data["b1"], "b1"),
-        b3=_int(data["b3"], "b3"),
-        configuration=config,
-        c=_ints(spinc["c"], "spinc.c"),
-        handle_counts=handle_counts,
-        two_handle_framings=optional_ints(data, "two_handle_framings"),
-        distinguished_pair=pair,
-        x0=optional_ints(spinc, "x0", "spinc."),
-        x_prime=optional_ints(spinc, "x_prime", "spinc."),
-        z=optional_ints(spinc, "z", "spinc."),
-        signs=_ints(opts["signs"], "options.signs") if opts.get("signs") else None,
-        tolerance=_number(opts.get("tolerance", DEFAULT_TOLERANCE), "options.tolerance"),
-        grid=_int(opts.get("grid", DEFAULT_GRID), "options.grid"),
-        seed=_int(opts.get("seed", DEFAULT_SEED), "options.seed"),
-        profile_eps=_number(opts.get("profile_eps", DEFAULT_PROFILE_EPS), "options.profile_eps"),
-        profile_delta=_number(
-            opts.get("profile_delta", DEFAULT_PROFILE_DELTA), "options.profile_delta"
-        ),
-    )
+    try:
+        return ManifoldInput(
+            intersection_form=Q,
+            b1=_int(data["b1"], "b1"),
+            b3=_int(data["b3"], "b3"),
+            configuration=config,
+            c=_ints(spinc["c"], "spinc.c"),
+            handle_counts=handle_counts,
+            two_handle_framings=optional_ints(data, "two_handle_framings"),
+            distinguished_pair=pair,
+            x0=optional_ints(spinc, "x0", "spinc."),
+            x_prime=optional_ints(spinc, "x_prime", "spinc."),
+            z=optional_ints(spinc, "z", "spinc."),
+            **options,
+        )
+    except CertifyError as exc:  # from _check_options: an option's value
+        raise CertifyError(f"options.{exc.clause}", exc.detail) from None
 
 
 def parse_input(path: str | Path) -> ManifoldInput:
@@ -277,12 +257,6 @@ def parse_input(path: str | Path) -> ManifoldInput:
         except json.JSONDecodeError as exc:
             raise CertifyError("input file", f"invalid JSON: {exc}") from exc
     return manifold_input_from_dict(data)
-
-
-def emit_input(mi: ManifoldInput, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(mi.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def fixture_path(name: str) -> Path:
@@ -440,7 +414,7 @@ def run_local_battery(
     samples: int = DEFAULT_SAMPLES,
 ) -> tuple[dict, list[CertClause]]:
     """Numerical checks of the local model; returns (summary, clauses)."""
-    _check_grid(grid)
+    _check_options(tolerance, grid, seed, eps, delta)
     rng = np.random.default_rng(seed)
     P = local_model.ProfileCurve(eps=eps, delta=delta)
 
@@ -661,7 +635,10 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
 
     # circle plan ------------------------------------------------------------
     if mi.signs is not None:
-        plan = spinc_planner.custom_circle_plan(mi.signs)
+        try:
+            plan = spinc_planner.custom_circle_plan(mi.signs)
+        except ValueError as exc:
+            raise CertifyError("options.signs", str(exc)) from None
         clauses.append(
             CertClause(
                 "custom circle signs consistent with d", plan.d == d,
@@ -850,12 +827,9 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--profile-eps", type=float, default=None)
-    p.add_argument("--profile-delta", type=float, default=None)
+def _add_option_flags(p: argparse.ArgumentParser) -> None:
+    for name, kind in _OPTIONS:
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -869,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="manifold description (JSON)")
     p.add_argument("--out", default=None, help="output base path for certificate")
     p.add_argument("--signs", default=None, help="comma-separated circle signs")
-    _add_common_flags(p)
+    _add_option_flags(p)
 
     p = sub.add_parser("signature", help="signature of a symmetric integer matrix")
     p.add_argument("matrix", help="JSON file holding the matrix (or a raw JSON array)")
@@ -890,15 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("local-check", help="run the local model battery alone")
     p.add_argument("--out", default=None)
-    _add_common_flags(p)
-    # parser-level defaults override the None of _add_common_flags
-    p.set_defaults(
-        tolerance=DEFAULT_TOLERANCE,
-        grid=100,
-        seed=DEFAULT_SEED,
-        profile_eps=DEFAULT_PROFILE_EPS,
-        profile_delta=DEFAULT_PROFILE_DELTA,
-    )
+    _add_option_flags(p)
     return parser
 
 
@@ -923,29 +889,16 @@ def _load_matrix(arg: str) -> SymmetricForm:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # the options given as flags; the other commands have none
+    flags = {
+        name: value for name, _ in _OPTIONS
+        if (value := getattr(args, name, None)) is not None
+    }
     try:
         if args.command == "certify":
-            mi = parse_input(args.input)
-            overrides = {}
-            if args.tolerance is not None:
-                overrides["tolerance"] = args.tolerance
-            if args.grid is not None:
-                overrides["grid"] = args.grid
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.profile_eps is not None:
-                overrides["profile_eps"] = args.profile_eps
-            if args.profile_delta is not None:
-                overrides["profile_delta"] = args.profile_delta
             if args.signs is not None:
-                overrides["signs"] = tuple(
-                    int(v) for v in args.signs.split(",") if v.strip()
-                )
-            if overrides:
-                from dataclasses import replace
-
-                mi = replace(mi, **overrides)
-            cert = certify(mi)
+                flags["signs"] = tuple(int(v) for v in args.signs.split(",") if v.strip())
+            cert = certify(replace(parse_input(args.input), **flags))
             if args.out:
                 for written in emit_certificate(cert, args.out):
                     print(f"wrote {written}")
@@ -976,8 +929,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "local-check":
+            # the defaults of certify: a dataclass keeps each field's default
+            # as a class attribute
+            opts = {name: getattr(ManifoldInput, name) for name, _ in _OPTIONS} | flags
             summary, clauses = run_local_battery(
-                args.seed, args.grid, args.tolerance, args.profile_eps, args.profile_delta
+                opts["seed"], opts["grid"], opts["tolerance"], opts["profile_eps"],
+                opts["profile_delta"],
             )
             ok = all(c.passed for c in clauses)
             for c in clauses:

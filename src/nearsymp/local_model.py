@@ -88,28 +88,6 @@ class TwoForm:
             raise ValueError(f"unknown basis {self.basis!r}")
         object.__setattr__(self, "components", comps)
 
-    def as_matrix(self) -> np.ndarray:
-        return form_matrix(self.components)
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        if self.basis != other.basis:
-            raise ValueError("cannot add forms in different bases")
-        return TwoForm(
-            tuple(a + b for a, b in zip(self.components, other.components)),
-            self.basis,
-        )
-
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        if self.basis != other.basis:
-            raise ValueError("cannot subtract forms in different bases")
-        return TwoForm(
-            tuple(a - b for a, b in zip(self.components, other.components)),
-            self.basis,
-        )
-
-    def scaled(self, c: float) -> "TwoForm":
-        return TwoForm(tuple(c * v for v in self.components), self.basis)
-
 
 @dataclass(frozen=True)
 class Metric4:
@@ -124,9 +102,6 @@ class Metric4:
 
     def __post_init__(self):
         object.__setattr__(self, "factor", float(self.factor))
-
-    def as_array(self) -> np.ndarray:
-        return self.factor * np.eye(4)
 
     def is_positive_definite(self) -> bool:
         return self.factor > 0

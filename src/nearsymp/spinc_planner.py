@@ -7,7 +7,7 @@ builders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .topo_core import (
     ChainComplex,
@@ -32,7 +32,6 @@ class SurfaceSpec:
     genus: int
     cls: tuple[int, ...]
     self_intersection: int
-    uses_up_3handles: bool = False
 
     def __post_init__(self):
         if self.genus < 0:
@@ -105,25 +104,15 @@ class CirclePlan:
 
 @dataclass(frozen=True)
 class HandleCounts:
-    """Handle counts per index with 2-handle framings and the distinguished
-    2-handle/1-handle pair used by the torsion adjustment."""
+    """Handle counts per index."""
 
     counts: tuple[int, int, int, int, int]
-    framings: tuple[int, ...] = ()
-    distinguished_two_handle: Optional[int] = None
-    distinguished_one_handle: Optional[int] = None
 
     def __post_init__(self):
         counts = tuple(int(n) for n in self.counts)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "framings", tuple(int(f) for f in self.framings))
         if any(n < 0 for n in counts):
             raise ValueError("handle counts must be non-negative")
-        if (
-            self.distinguished_two_handle is not None
-            and not 0 <= self.distinguished_two_handle < counts[2]
-        ):
-            raise ValueError("distinguished 2-handle index out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +139,6 @@ class Clause:
     lhs: object = None
     rhs: object = None
 
-    def __str__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        detail = "" if self.lhs is None else f" ({self.lhs} vs {self.rhs})"
-        return f"[{status}] {self.name}{detail}"
-
 
 @dataclass(frozen=True)
 class ConstraintReport:
@@ -163,9 +147,6 @@ class ConstraintReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.clauses)
-
-    def failures(self) -> list[Clause]:
-        return [c for c in self.clauses if not c.passed]
 
 
 def check_spinc_constraints(
@@ -249,10 +230,7 @@ def e_decomposition(g: int, m: int) -> HandleCounts:
         raise ValueError("surface square m must be positive")
     if g < 0:
         raise ValueError("genus must be non-negative")
-    return HandleCounts(
-        counts=(1, 2 * g + m - 1, m, 0, 0),
-        framings=(1,) * m,
-    )
+    return HandleCounts(counts=(1, 2 * g + m - 1, m, 0, 0))
 
 
 def stabilized_surface_genus(g: int) -> int:

@@ -148,10 +148,9 @@ class ChainComplex:
 
 @dataclass(frozen=True)
 class SymmetricForm:
-    """Square symmetric integer matrix with optional basis labels."""
+    """Square symmetric integer matrix."""
 
     matrix: IntMatrix
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         M = _as_int_matrix(self.matrix)
@@ -169,8 +168,6 @@ class SymmetricForm:
                         f"form matrix not symmetric at ({i},{j}): "
                         f"{M[i][j]} != {M[j][i]}"
                     )
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
     def dim(self) -> int:

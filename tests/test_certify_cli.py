@@ -3,28 +3,32 @@ determinism, abort behavior, and the utility subcommands."""
 
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nearsymp import certify_cli
 from nearsymp.certify_cli import (
     CertifyError,
     ManifoldInput,
     certify,
     emit_certificate,
-    emit_input,
     fixture_path,
     main,
     manifold_input_from_dict,
     parse_input,
     run_local_battery,
 )
+from nearsymp.spinc_planner import SurfaceSpec
 from oracles import pointwise_identities_loop
 
 FIXTURES = ["three_cp2.json", "circle_times_y.json"]
 
 
 # ---------------------------------------------------------------------------
-# input parsing and round trips
+# input parsing
 # ---------------------------------------------------------------------------
 
 
@@ -36,16 +40,94 @@ def test_fixtures_parse(name):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fixture_round_trip(name, tmp_path):
-    # with every optional field set, so that to_dict writes each key the
-    # input format has and the parser must accept all of them
-    mi = dataclasses.replace(
-        parse_input(fixture_path(name)),
-        distinguished_pair=(0, 0), x_prime=(1, 1), z=(0, 0), signs=(-1, 1),
-    )
+    # the fixture document with every optional field added, written out and
+    # read back, parses to the fixture with those fields replaced
+    doc = json.loads(fixture_path(name).read_text())
+    n = len(doc["intersection_form"])
+    doc["distinguished_pair"] = {"two_handle": 0, "one_handle": 0}
+    doc["spinc"] = dict(doc["spinc"], x_prime=[1] * n, z=[0] * n)
+    doc["options"] = dict(doc["options"], signs=[-1, 1])
     out = tmp_path / "echo.json"
-    emit_input(mi, out)
-    again = parse_input(out)
-    assert again.to_dict() == mi.to_dict()
+    out.write_text(json.dumps(doc))
+    want = dataclasses.replace(
+        parse_input(fixture_path(name)),
+        distinguished_pair=(0, 0), x_prime=(1,) * n, z=(0,) * n, signs=(-1, 1),
+    )
+    assert parse_input(out) == want
+
+
+def test_every_key_of_the_input_format_parses():
+    doc = {
+        "intersection_form": [[1, 0], [0, -1]],
+        "b1": 1,
+        "b3": 1,
+        "surfaces": [
+            {"genus": 2, "cls": [1, 0], "self_intersection": 1},
+            {"genus": 0, "cls": [0, 1], "self_intersection": -1},
+        ],
+        "edges": [[1, 0]],
+        "side_conditions": ["simply connected"],
+        "spinc": {"c": [1, 1], "x0": [3, 1], "x_prime": [1, 0], "z": [0, 2]},
+        "handle_counts": [1, 1, 2, 1, 1],
+        "two_handle_framings": [1, -1],
+        "distinguished_pair": {"two_handle": 1, "one_handle": 0},
+        "options": {
+            "tolerance": 1e-7, "grid": 40, "seed": 5,
+            "profile_eps": 1.5, "profile_delta": 0.25, "signs": [-1, 1, -1],
+        },
+    }
+    # the document sets every key the schema knows
+    assert set(doc) == set(certify_cli._TOP_FIELDS)
+    assert set(doc["spinc"]) == set(certify_cli._SPINC_FIELDS)
+    assert set(doc["options"]) == set(certify_cli._OPTION_FIELDS)
+    mi = manifold_input_from_dict(doc)
+    assert mi.intersection_form.matrix == [[1, 0], [0, -1]]
+    assert (mi.b1, mi.b3) == (1, 1)
+    assert mi.configuration.vertices == (
+        SurfaceSpec(genus=2, cls=(1, 0), self_intersection=1),
+        SurfaceSpec(genus=0, cls=(0, 1), self_intersection=-1),
+    )
+    assert mi.configuration.edges == ((0, 1),)
+    assert mi.configuration.side_conditions == ("simply connected",)
+    assert (mi.c, mi.x0, mi.x_prime, mi.z) == ((1, 1), (3, 1), (1, 0), (0, 2))
+    assert mi.handle_counts == (1, 1, 2, 1, 1)
+    assert mi.two_handle_framings == (1, -1)
+    assert mi.distinguished_pair == (1, 0)
+    assert mi.signs == (-1, 1, -1)
+    assert (mi.tolerance, mi.grid, mi.seed) == (1e-7, 40, 5)
+    assert (mi.profile_eps, mi.profile_delta) == (1.5, 0.25)
+
+
+_FIXTURE = json.loads(fixture_path("three_cp2.json").read_text())
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ManifoldInput)}
+_OPTION_VALUES = st.one_of(
+    st.integers(-(10**400), 10**400),
+    st.floats(),  # NaN and +-inf included
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(), st.none()), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(certify_cli._OPTION_FIELDS + ("colour",)), _OPTION_VALUES
+    )
+)
+def test_options_parse_or_name_the_option(options):
+    # no battery runs here: values the battery cannot use are rejected by
+    # the parser, and every other value reaches ManifoldInput unchanged
+    data = dict(_FIXTURE, options=options)
+    try:
+        mi = manifold_input_from_dict(data)
+    except CertifyError as exc:
+        assert any(f"options.{key}" in str(exc) for key in options), str(exc)
+        return
+    for key in certify_cli._OPTION_FIELDS:
+        want = options.get(key, _DEFAULTS[key])
+        assert getattr(mi, key) == (tuple(want) if isinstance(want, list) else want), key
 
 
 def test_missing_form_names_the_field():
@@ -246,6 +328,10 @@ def test_cli_certify_bad_signs_exit_1(tmp_path, capsys):
         ({"surfaces": []}, [], "surfaces"),
         ({"options": {"grid": 0}}, [], "grid"),
         ({}, ["--grid", "1"], "grid"),
+        # a falsy value is read like any other
+        ({"options": {"signs": []}}, [], "options.signs"),
+        ({"options": {"signs": 0}}, [], "options.signs"),
+        ({"options": {"signs": False}}, [], "options.signs"),
     ],
 )
 def test_cli_certify_malformed_input_exits_2(tmp_path, capsys, patch, flags, field):
@@ -321,6 +407,42 @@ def test_cli_rejects_fractional_integer_entries(tmp_path, capsys, argv, field):
     captured = capsys.readouterr()
     assert field in captured.err
     assert "must be integers" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+_UNUSABLE = [
+    ("profile_eps", math.nan),
+    ("profile_eps", 0.0),
+    ("profile_delta", math.inf),
+    ("profile_delta", -0.5),
+    ("tolerance", math.nan),
+    ("tolerance", -1.0),
+    ("seed", -1),
+]
+
+
+@pytest.mark.parametrize("name, value", _UNUSABLE)
+@pytest.mark.parametrize("source", ["options", "certify-flag", "local-check-flag"])
+def test_cli_rejects_unusable_option_values(tmp_path, capsys, source, name, value):
+    # the same rule and the same exit code whatever the value came through
+    flag = f"--{name.replace('_', '-')}={value}"
+    if source == "local-check-flag":
+        argv = ["local-check", flag]
+    else:
+        data = json.loads(fixture_path("three_cp2.json").read_text())
+        if source == "options":
+            data["options"] = {name: value}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(data))  # NaN and Infinity as Python writes them
+        argv = ["certify", str(path), "--grid", "20"]
+        if source == "certify-flag":
+            argv.append(flag)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert name in captured.err
+    if source == "options":
+        assert f"options.{name}" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 
