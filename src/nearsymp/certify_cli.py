@@ -43,12 +43,9 @@ _OPTIONS = (
 )
 
 
-def _native(obj):
-    """Recursively convert numpy scalars/arrays to plain Python values."""
-    if isinstance(obj, dict):
-        return {k: _native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_native(v) for v in obj]
+def _json_default(obj):
+    """The numpy values json cannot write.  np.float64 is a float subclass,
+    which json writes by float.__repr__ without calling this."""
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
@@ -56,8 +53,8 @@ def _native(obj):
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.ndarray):
-        return [_native(v) for v in obj.tolist()]
-    return obj
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 class CertifyError(Exception):
@@ -81,6 +78,11 @@ def _check_options(tolerance: float, grid: int, seed: int, eps: float, delta: fl
     for name, value in (("profile_eps", eps), ("profile_delta", delta)):
         if not 0 < value < math.inf:
             raise CertifyError(name, f"must be finite and > 0, got {value}")
+    # the profiles live on [0, eps^2/2], and contact_positivity differences
+    # them at rho +- h, so that interval must hold 2h
+    rho_max, least = eps * eps / 2, 2 * local_model.POSITIVITY_STEP
+    if not least <= rho_max < math.inf:
+        raise CertifyError("profile_eps", f"eps^2/2 must be finite and >= {least}, got eps = {eps}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +280,6 @@ class CertClause:
     expected: object = None
     anchor: str = ""
 
-    def to_dict(self) -> dict:
-        return _native(
-            {
-                "name": self.name,
-                "kind": self.kind,
-                "passed": bool(self.passed),
-                "value": self.value,
-                "expected": self.expected,
-                "anchor": self.anchor,
-            }
-        )
-
 
 @dataclass
 class ConstructionCertificate:
@@ -306,21 +296,13 @@ class ConstructionCertificate:
     def passed(self) -> bool:
         return all(c.passed for c in self.clauses)
 
-    def to_dict(self) -> dict:
-        return _native({
-            "passed": self.passed,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "invariants": self.invariants,
-            "circle_plan": self.circle_plan,
-            "two_handles": self.two_handles,
-            "obstructions": self.obstructions,
-            "local_checks": self.local_checks,
-            "clauses": [c.to_dict() for c in self.clauses],
-        })
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        # vars() holds exactly the dataclass fields
+        doc = vars(self) | {
+            "passed": self.passed,
+            "clauses": [vars(c) | {"passed": bool(c.passed)} for c in self.clauses],
+        }
+        return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
 
     def report(self) -> str:
         lines = ["construction certificate", "=" * 24]
@@ -897,7 +879,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "certify":
             if args.signs is not None:
-                flags["signs"] = tuple(int(v) for v in args.signs.split(",") if v.strip())
+                try:
+                    flags["signs"] = tuple(int(v) for v in args.signs.split(",") if v.strip())
+                except ValueError:
+                    raise CertifyError(
+                        "--signs", f"must be comma-separated integers, got {args.signs!r}"
+                    ) from None
             cert = certify(replace(parse_input(args.input), **flags))
             if args.out:
                 for written in emit_certificate(cert, args.out):

@@ -408,11 +408,15 @@ def contact_profile(kind: str, rho: float, eps: float) -> tuple[float, float]:
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
+# the difference step of contact_positivity
+POSITIVITY_STEP = 1e-6
+
+
 def contact_positivity(
     profile: Callable[[float], tuple[float, float]],
     rho_max: float,
     samples: int = 10000,
-    h: float = 1e-6,
+    h: float = POSITIVITY_STEP,
 ) -> float:
     """Minimum of g f' - f g' over a uniform grid, by central differences."""
     rho = np.linspace(0.0, rho_max, samples)

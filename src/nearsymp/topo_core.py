@@ -252,86 +252,67 @@ def smith_normal_form(A) -> SmithDecomposition:
 
     Pivot rule: the smallest-magnitude nonzero entry of the working
     submatrix, ties broken in row-major order, so the output is
-    deterministic.
+    deterministic.  No nonzero entry is smaller than a unit, so the scan
+    stops at the first one; on the unimodular forms of the pipeline nearly
+    every pivot is a unit.
     """
     M = _as_int_matrix(A)
     m, n = _shape(M)
     U = _identity(m)
     V = _identity(n)
 
-    def swap_rows(i, j):
-        if i != j:
-            M[i], M[j] = M[j], M[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in M:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, mult):
-        # row_dst += mult * row_src
-        for c in range(n):
-            M[dst][c] += mult * M[src][c]
-        for c in range(m):
-            U[dst][c] += mult * U[src][c]
-
-    def add_col(dst, src, mult):
-        for r in range(m):
-            M[r][dst] += mult * M[r][src]
-        for r in range(n):
-            V[r][dst] += mult * V[r][src]
-
     t = 0
     while t < min(m, n):
-        # smallest-magnitude nonzero entry, row-major tie-break
-        best = None
+        best, size = None, 0
         for i in range(t, m):
-            for j in range(t, n):
-                v = M[i][j]
-                if v != 0 and (best is None or abs(v) < abs(M[best[0]][best[1]])):
-                    best = (i, j)
+            for j, v in enumerate(M[i][t:], t):
+                if v and (best is None or abs(v) < size):
+                    best, size = (i, j), abs(v)
+                    if size == 1:
+                        break
+            if size == 1:
+                break
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        i, j = best
+        if i != t:
+            M[i], M[t] = M[t], M[i]
+            U[i], U[t] = U[t], U[i]
+        if j != t:
+            for row in M:
+                row[j], row[t] = row[t], row[j]
+            for row in V:
+                row[j], row[t] = row[t], row[j]
 
-        dirty = False
+        # a row operation reads only the pivot row, and a column operation
+        # only the pivot column, which none of them changes: so the column
+        # quotients can all be taken before the first column operation
+        p = M[t][t]
         for i in range(t + 1, m):
-            if M[i][t] != 0:
-                q = M[i][t] // M[t][t]
-                add_row(i, t, -q)
-                if M[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, n):
-            if M[t][j] != 0:
-                q = M[t][j] // M[t][t]
-                add_col(j, t, -q)
-                if M[t][j] != 0:
-                    dirty = True
-        if dirty:
+            if q := M[i][t] // p:
+                M[i] = [a - q * b for a, b in zip(M[i], M[t])]
+                U[i] = [a - q * b for a, b in zip(U[i], U[t])]
+        col_q = [(j, q) for j in range(t + 1, n) if (q := M[t][j] // p)]
+        for W in (M, V):
+            for row in W:
+                if r := row[t]:
+                    for j, q in col_q:
+                        row[j] -= q * r
+        if any(M[i][t] for i in range(t + 1, m)) or any(M[t][t + 1:]):
             continue  # remainders became new, smaller pivot candidates
 
-        # enforce the divisibility chain
-        p = M[t][t]
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if M[i][j] % p != 0:
-                    bad = i
-                    break
+        # enforce the divisibility chain; a unit divides everything
+        if size != 1:
+            bad = next(
+                (i for i in range(t + 1, m) if any(v % p for v in M[i][t + 1:])), None
+            )
             if bad is not None:
-                break
-        if bad is not None:
-            add_row(t, bad, 1)
-            continue
+                M[t] = [a + b for a, b in zip(M[t], M[bad])]
+                U[t] = [a + b for a, b in zip(U[t], U[bad])]
+                continue
         if p < 0:
-            for c in range(n):
-                M[t][c] = -M[t][c]
-            for c in range(m):
-                U[t][c] = -U[t][c]
+            M[t] = [-v for v in M[t]]
+            U[t] = [-v for v in U[t]]
         t += 1
 
     divisors = tuple(M[i][i] for i in range(min(m, n)) if M[i][i] != 0)

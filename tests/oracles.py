@@ -9,6 +9,7 @@ computation.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,94 @@ def signature_fraction(matrix) -> int:
                 M[p][q] -= (M[p][i] * M[j][q] + M[p][j] * M[i][q]) / a
         active = rest
     return sig
+
+
+def smith_normal_form_reference(A):
+    """Smith normal form U*A*V = D by the package's pivot rule, with full
+    scans: the smallest-magnitude nonzero entry of the working submatrix,
+    ties broken in row-major order, and the divisibility chain checked at
+    every pivot.  Each row and column operation is applied entry by entry."""
+    from nearsymp.topo_core import SmithDecomposition
+
+    M = [[int(v) for v in row] for row in A]
+    m, n = len(M), len(M[0]) if M else 0
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        if i != j:
+            M[i], M[j] = M[j], M[i]
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in M:
+                row[i], row[j] = row[j], row[i]
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, mult):
+        for c in range(n):
+            M[dst][c] += mult * M[src][c]
+        for c in range(m):
+            U[dst][c] += mult * U[src][c]
+
+    def add_col(dst, src, mult):
+        for r in range(m):
+            M[r][dst] += mult * M[r][src]
+        for r in range(n):
+            V[r][dst] += mult * V[r][src]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = M[i][j]
+                if v != 0 and (best is None or abs(v) < abs(M[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+
+        dirty = False
+        for i in range(t + 1, m):
+            if M[i][t] != 0:
+                q = M[i][t] // M[t][t]
+                add_row(i, t, -q)
+                if M[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, n):
+            if M[t][j] != 0:
+                q = M[t][j] // M[t][t]
+                add_col(j, t, -q)
+                if M[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+
+        p = M[t][t]
+        bad = None
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if M[i][j] % p != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            add_row(t, bad, 1)
+            continue
+        if p < 0:
+            for c in range(n):
+                M[t][c] = -M[t][c]
+            for c in range(m):
+                U[t][c] = -U[t][c]
+        t += 1
+
+    divisors = tuple(M[i][i] for i in range(min(m, n)) if M[i][i] != 0)
+    return SmithDecomposition(U=U, D=M, V=V, rank=len(divisors), divisors=divisors)
 
 
 def recheck_smith(A, snf) -> None:
@@ -295,3 +384,51 @@ def pointwise_identities_loop(seed: int, samples: int) -> dict:
         "max_honda_deviation": max_honda,
         "max_wedge_square_deviation": max_wedge,
     }
+
+
+# ---------------------------------------------------------------------------
+# certificate JSON through a recursive copy
+# ---------------------------------------------------------------------------
+
+
+def _native(obj):
+    """Recursively convert numpy scalars/arrays to plain Python values."""
+    if isinstance(obj, dict):
+        return {k: _native(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_native(v) for v in obj]
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return [_native(v) for v in obj.tolist()]
+    return obj
+
+
+def certificate_json_reference(cert) -> str:
+    """A certificate's JSON text from a plain-Python copy of every field."""
+    doc = {
+        "passed": cert.passed,
+        "seed": cert.seed,
+        "tolerances": cert.tolerances,
+        "invariants": cert.invariants,
+        "circle_plan": cert.circle_plan,
+        "two_handles": cert.two_handles,
+        "obstructions": cert.obstructions,
+        "local_checks": cert.local_checks,
+        "clauses": [
+            {
+                "name": c.name,
+                "kind": c.kind,
+                "passed": bool(c.passed),
+                "value": c.value,
+                "expected": c.expected,
+                "anchor": c.anchor,
+            }
+            for c in cert.clauses
+        ],
+    }
+    return json.dumps(_native(doc), indent=2, sort_keys=True) + "\n"

@@ -4,13 +4,16 @@ determinism, abort behavior, and the utility subcommands."""
 import dataclasses
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearsymp import certify_cli
 from nearsymp.certify_cli import (
+    CertClause,
     CertifyError,
     ManifoldInput,
     certify,
@@ -22,9 +25,10 @@ from nearsymp.certify_cli import (
     run_local_battery,
 )
 from nearsymp.spinc_planner import SurfaceSpec
-from oracles import pointwise_identities_loop
+from oracles import certificate_json_reference, pointwise_identities_loop
 
 FIXTURES = ["three_cp2.json", "circle_times_y.json"]
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +244,33 @@ def test_certificate_deterministic_with_battery(three_cp2):
     assert '"passed": true' in first
 
 
+# The exact side of a certificate, pinned byte for byte: <stem>.exact.json
+# and <stem>.exact.txt hold to_json() and report() of certify(...,
+# run_battery=False).  The battery is left out, since its floats come from
+# numpy's exp, sin and cos, whose last bit may depend on the CPU's SIMD path.
+@pytest.mark.parametrize(
+    "path",
+    [fixture_path("three_cp2.json"), fixture_path("circle_times_y.json"), DATA / "b2_48.json"],
+    ids=lambda path: path.stem,
+)
+def test_exact_certificate_bytes_are_pinned(path):
+    cert = certify(parse_input(path), run_battery=False)
+    assert cert.to_json() == (DATA / f"{path.stem}.exact.json").read_text()
+    assert cert.report() == (DATA / f"{path.stem}.exact.txt").read_text()
+
+
+def test_to_json_matches_the_recursive_copy(three_cp2):
+    cert = certify(dataclasses.replace(three_cp2, grid=20))
+    cert.clauses.append(
+        CertClause(
+            "numpy values", np.bool_(True), "computed",
+            {"flag": np.bool_(False), "count": np.int64(-3), "x": np.float64(1 / 3)},
+            [np.array([0.1, -2.5e-17, np.float64(7.0)]), np.arange(3), np.float32(0.1)],
+        )
+    )
+    assert cert.to_json() == certificate_json_reference(cert)
+
+
 def test_certificate_emission(three_cp2, tmp_path):
     cert = certify(three_cp2, run_battery=False)
     paths = emit_certificate(cert, tmp_path / "cert")
@@ -332,6 +363,7 @@ def test_cli_certify_bad_signs_exit_1(tmp_path, capsys):
         ({"options": {"signs": []}}, [], "options.signs"),
         ({"options": {"signs": 0}}, [], "options.signs"),
         ({"options": {"signs": False}}, [], "options.signs"),
+        ({}, ["--signs", "a"], "--signs"),
     ],
 )
 def test_cli_certify_malformed_input_exits_2(tmp_path, capsys, patch, flags, field):
@@ -414,6 +446,11 @@ def test_cli_rejects_fractional_integer_entries(tmp_path, capsys, argv, field):
 _UNUSABLE = [
     ("profile_eps", math.nan),
     ("profile_eps", 0.0),
+    # eps^2/2 is 0, inf, or below the 2e-6 that contact_positivity steps over
+    ("profile_eps", 1e-300),
+    ("profile_eps", 1e155),
+    ("profile_eps", 1e-20),
+    ("profile_eps", 1e-3),
     ("profile_delta", math.inf),
     ("profile_delta", -0.5),
     ("tolerance", math.nan),
@@ -445,6 +482,15 @@ def test_cli_rejects_unusable_option_values(tmp_path, capsys, source, name, valu
         assert f"options.{name}" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_cli_smallest_usable_profile_eps_gives_a_certificate(capsys):
+    # eps^2/2 = 2e-6 exactly: the profile map folds over, a FAIL with exit 1
+    argv = ["certify", str(fixture_path("three_cp2.json")), "--grid", "20", "--profile-eps", "2e-3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] profile map is an orientation-preserving immersion" in captured.out
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])

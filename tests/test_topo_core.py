@@ -29,6 +29,7 @@ from oracles import (
     matmul,
     recheck_smith,
     signature_fraction,
+    smith_normal_form_reference,
 )
 
 E8 = [
@@ -130,6 +131,31 @@ def test_smith_transforms_recheck(rows, cols, seed):
     A = rng.integers(-9, 10, size=(rows, cols)).tolist()
     snf = smith_normal_form(A)
     recheck_smith(A, snf)
+
+
+@st.composite
+def smith_inputs(draw):
+    """1-8 x 1-8 integer matrices with zero rows, negative entries, a common
+    factor and a factor per row, so that non-unit pivots, the divisibility
+    fix-up and sign flips all occur."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    factor = st.sampled_from((1, 2, 3, 6))
+    common = draw(factor)
+    row = st.one_of(
+        st.just([0] * cols), st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)
+    )
+    matrix = []
+    for _ in range(rows):
+        f = common * draw(factor)
+        matrix.append([f * v for v in draw(row)])
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(smith_inputs())
+def test_smith_matches_reference(A):
+    # U, D, V, rank and divisors, all equal
+    assert smith_normal_form(A) == smith_normal_form_reference(A)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +291,12 @@ def _unit_triangular(n, rng, lower):
     ]
 
 
-@pytest.mark.parametrize(
-    "plus, minus, hyperbolic", [(48, 0, 0), (0, 0, 24), (10, 6, 16), (1, 23, 12)]
-)
-def test_signature_and_det_at_b2_48_after_basis_change(plus, minus, hyperbolic):
+# <+1>, <-1> and hyperbolic blocks of the b2 = 48 forms
+B2_48_BLOCKS = [(48, 0, 0), (0, 0, 24), (10, 6, 16), (1, 23, 12)]
+
+
+def _block_form(plus, minus, hyperbolic):
     n = plus + minus + 2 * hyperbolic
-    assert n == 48
     Q = [[0] * n for _ in range(n)]
     for i in range(plus):
         Q[i][i] = 1
@@ -278,17 +304,38 @@ def test_signature_and_det_at_b2_48_after_basis_change(plus, minus, hyperbolic):
         Q[i][i] = -1
     for k in range(plus + minus, n, 2):
         Q[k][k + 1] = Q[k + 1][k] = 1
+    return Q
+
+
+def _basis_change(Q, rng):
+    """U^T Q U for U = L * R with unit triangular L, R of entries in
+    {-1, 0, 1}, so det U = 1."""
+    n = len(Q)
+    U = matmul(_unit_triangular(n, rng, True), _unit_triangular(n, rng, False))
+    Ut = [list(col) for col in zip(*U)]
+    return matmul(matmul(Ut, Q), U)
+
+
+@pytest.mark.parametrize("plus, minus, hyperbolic", B2_48_BLOCKS)
+def test_signature_and_det_at_b2_48_after_basis_change(plus, minus, hyperbolic):
+    Q = _block_form(plus, minus, hyperbolic)
+    n = len(Q)
+    assert n == 48
     sigma, det = plus - minus, (-1) ** (minus + hyperbolic)
     assert signature(SymmetricForm(Q)) == sigma
     assert SymmetricForm(Q).det() == det
-    # U = L * R with unit triangular L, R of entries in {-1, 0, 1}: det U = 1
-    rng = np.random.default_rng(n + 7 * minus + hyperbolic)
-    U = matmul(_unit_triangular(n, rng, True), _unit_triangular(n, rng, False))
-    Ut = [list(col) for col in zip(*U)]
-    P = SymmetricForm(matmul(matmul(Ut, Q), U))
+    P = SymmetricForm(_basis_change(Q, np.random.default_rng(n + 7 * minus + hyperbolic)))
     assert P.matrix != Q
     assert signature(P) == sigma
     assert P.det() == det
+
+
+# dense forms with entries in the hundreds: about 0.5 s each on either side
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(B2_48_BLOCKS), st.integers(0, 2**32 - 1))
+def test_smith_matches_reference_at_b2_48(blocks, seed):
+    Q = _basis_change(_block_form(*blocks), np.random.default_rng(seed))
+    assert smith_normal_form(Q) == smith_normal_form_reference(Q)
 
 
 # ---------------------------------------------------------------------------
