@@ -352,28 +352,26 @@ def _pointwise_maxima(pts: np.ndarray) -> tuple[float, float, float, float, floa
     """Largest deviations of J^2 = -I, J-invariance, self-duality, the Honda
     form and omega^omega = 2 R^2 over the (T, x, y) samples ``pts``.
 
-    The model is evaluated one sample at a time and its outputs are gathered
-    per block of _SAMPLE_BLOCK samples; each identity is then checked on the
-    whole block at once.
+    Each sample makes six model calls, in this order: J_near, omega_near_Z,
+    metric_g (the conformal factor f(R) at eps' = 0.5: 1 for R <= eps'/2, R
+    for R >= eps', the smooth blend only in between), hodge_star_2form,
+    honda_form and wedge_square.  Their outputs are collected in lists per
+    block of _SAMPLE_BLOCK samples and turned into one array per block; each
+    identity is then checked on the whole block at once.
     """
     max_j2 = max_compat = max_star = max_honda = max_wedge = 0.0
-    J = np.empty((_SAMPLE_BLOCK, 4, 4))
-    w = np.empty((_SAMPLE_BLOCK, 6))
-    star = np.empty((_SAMPLE_BLOCK, 6))
-    honda = np.empty((_SAMPLE_BLOCK, 6))
-    wedge = np.empty(_SAMPLE_BLOCK)
     for start in range(0, len(pts), _SAMPLE_BLOCK):
         block = pts[start:start + _SAMPLE_BLOCK]
-        n = len(block)
-        for i, (T, x, y) in enumerate(block.tolist()):
-            J[i] = local_model.J_near(T, x, y)
+        J, w, star, honda, wedge = [], [], [], [], []
+        for T, x, y in block.tolist():
+            J.append(local_model.J_near(T, x, y))
             form = local_model.omega_near_Z(T, x, y)
             g = local_model.metric_g(T, x, y, 0.5)
-            star[i] = local_model.hodge_star_2form(g, 1, form).components
-            honda[i] = local_model.honda_form(T, x, y).components
-            w[i] = form.components
-            wedge[i] = local_model.wedge_square(form)
-        Jb, wb = J[:n], w[:n]
+            star.append(local_model.hodge_star_2form(g, 1, form).components)
+            honda.append(local_model.honda_form(T, x, y).components)
+            w.append(form.components)
+            wedge.append(local_model.wedge_square(form))
+        Jb, wb = np.array(J), np.array(w)
         Wb = local_model.form_matrix(wb)
         T, x, y = block.T
         R2 = 4 * T * T + x * x + y * y
@@ -381,9 +379,9 @@ def _pointwise_maxima(pts: np.ndarray) -> tuple[float, float, float, float, floa
         max_compat = max(
             max_compat, float(np.abs(Jb.transpose(0, 2, 1) @ Wb @ Jb - Wb).max())
         )
-        max_star = max(max_star, float(np.abs(star[:n] - wb).max()))
-        max_honda = max(max_honda, float(np.abs(honda[:n] - wb).max()))
-        max_wedge = max(max_wedge, float(np.abs(wedge[:n] - 2 * R2).max()))
+        max_star = max(max_star, float(np.abs(np.array(star) - wb).max()))
+        max_honda = max(max_honda, float(np.abs(np.array(honda) - wb).max()))
+        max_wedge = max(max_wedge, float(np.abs(np.array(wedge) - 2 * R2).max()))
     return max_j2, max_compat, max_star, max_honda, max_wedge
 
 
@@ -546,6 +544,12 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
     clauses: list[CertClause] = []
 
     # hard preconditions -----------------------------------------------------
+    if mi.b1 != mi.b3:
+        raise CertifyError(
+            "b1, b3",
+            f"Poincare duality on a closed oriented 4-manifold needs b1 = b3, "
+            f"got b1 = {mi.b1} and b3 = {mi.b3}",
+        )
     if len(mi.c) != b2:
         raise CertifyError(
             "dimension consistency",

@@ -73,7 +73,7 @@ def form_matrix(components) -> np.ndarray:
     return W
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoForm:
     """Six components in the ordered 2-form basis of the tagged chart."""
 
@@ -81,7 +81,7 @@ class TwoForm:
     basis: str = CARTESIAN
 
     def __post_init__(self):
-        comps = tuple(float(v) for v in self.components)
+        comps = tuple(map(float, self.components))
         if len(comps) != 6:
             raise ValueError("a 2-form has six components")
         if self.basis not in (CARTESIAN, CYLINDRICAL):
@@ -89,7 +89,7 @@ class TwoForm:
         object.__setattr__(self, "components", comps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Metric4:
     """The conformal metric factor * g0, g0 the flat metric of the chart.
 
@@ -510,24 +510,39 @@ def J_near(T: float, x: float, y: float) -> np.ndarray:
     R = math.sqrt(4.0 * T * T + x * x + y * y)
     if R == 0.0:
         raise ValueError("J is undefined on the zero circle (R = 0)")
-    Q = np.array(
+    # each entry of Q divided by R once: IEEE division commutes with
+    # negation, so these are the entries of Q / R bit for bit
+    a, b, c = x / R, y / R, 2.0 * T / R
+    return np.array(
         [
-            [0.0, -y, x, 2.0 * T],
-            [y, 0.0, 2.0 * T, -x],
-            [-x, -2.0 * T, 0.0, -y],
-            [-2.0 * T, x, y, 0.0],
+            [0.0, -b, a, c],
+            [b, 0.0, c, -a],
+            [-a, -c, 0.0, -b],
+            [-c, a, b, 0.0],
         ]
     )
-    return Q / R
 
 
 def metric_g(T: float, x: float, y: float, eps_prime: float) -> Metric4:
-    """Conformal metric f(R) g0 with f = 1 for R <= eps'/2 and f = R for
-    R >= eps', smoothly interpolated."""
+    """Conformal metric f(R) g0 with R = sqrt(4T^2 + x^2 + y^2) and the
+    piecewise factor
+
+        f = 1                    for R <= eps'/2,
+        f = (1 - s) + s R        for eps'/2 < R < eps', s = smooth_step of
+                                 (R - eps'/2) / (eps'/2),
+        f = R                    for R >= eps'.
+
+    smooth_step is exactly 0.0 and 1.0 at its clamped ends, so the two outer
+    pieces are the blend's own values there, bit for bit."""
     if eps_prime <= 0:
         raise ValueError("eps_prime must be positive")
     R = math.sqrt(4.0 * T * T + x * x + y * y)
-    s = float(smooth_step((R - eps_prime / 2.0) / (eps_prime / 2.0)))
+    half = eps_prime / 2.0
+    if R <= half:
+        return Metric4(1.0)
+    if R >= eps_prime:
+        return Metric4(R)
+    s = float(smooth_step((R - half) / half))
     return Metric4((1.0 - s) + s * R)
 
 
@@ -544,9 +559,8 @@ def hodge_star_2form(g: Metric4, orientation: int, w: TwoForm) -> TwoForm:
     if not g.is_positive_definite():
         raise ValueError("degenerate or indefinite metric")
     c0, c1, c2, c3, c4, c5 = w.components
-    return TwoForm(
-        tuple(orientation * v for v in (c5, -c4, c3, c2, -c1, c0)), w.basis
-    )
+    o = orientation
+    return TwoForm((o * c5, o * -c4, o * c3, o * c2, o * -c1, o * c0), w.basis)
 
 
 def honda_form(T: float, x: float, y: float) -> TwoForm:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -331,6 +332,35 @@ def hodge_star_general(G, orientation: int, w) -> tuple[float, ...]:
     W_up = Ginv @ W @ Ginv
     star = 0.5 * np.sqrt(np.linalg.det(G)) * np.einsum("ab,abcd->cd", W_up, _LEVI_CIVITA)
     return tuple(float(orientation * star[a, b]) for a, b in _BASIS_PAIRS)
+
+
+# ---------------------------------------------------------------------------
+# J and the conformal factor from their defining formulas
+# ---------------------------------------------------------------------------
+
+
+def J_near_reference(T: float, x: float, y: float) -> np.ndarray:
+    """J = Q / R: the matrix Q built first, then divided by R as an array."""
+    R = math.sqrt(4.0 * T * T + x * x + y * y)
+    Q = np.array(
+        [
+            [0.0, -y, x, 2.0 * T],
+            [y, 0.0, 2.0 * T, -x],
+            [-x, -2.0 * T, 0.0, -y],
+            [-2.0 * T, x, y, 0.0],
+        ]
+    )
+    return Q / R
+
+
+def metric_factor_reference(T: float, x: float, y: float, eps_prime: float) -> float:
+    """The conformal factor (1 - s) + s R, s = smooth_step((R - eps'/2) /
+    (eps'/2)), blended at every R with no piecewise shortcut."""
+    from nearsymp.local_model import smooth_step
+
+    R = math.sqrt(4.0 * T * T + x * x + y * y)
+    s = float(smooth_step((R - eps_prime / 2.0) / (eps_prime / 2.0)))
+    return (1.0 - s) + s * R
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,23 @@ def test_cli_certify_rejects_malformed_field(tmp_path, capsys, mutate, field):
     assert "overall" not in captured.out
 
 
+@pytest.mark.parametrize("b1, b3", [(2, 0), (0, 1)])
+def test_cli_certify_rejects_b1_unequal_b3(tmp_path, capsys, b1, b3):
+    # without handle_counts no clause can see the mismatch: b1 = 2, b3 = 0
+    # on three_cp2 used to give chi = 3, d = 1 and exit 0
+    data = json.loads(fixture_path("three_cp2.json").read_text())
+    data.update(b1=b1, b3=b3)
+    del data["handle_counts"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["certify", str(path), "--grid", "20"]) == 2
+    captured = capsys.readouterr()
+    assert f"b1 = {b1} and b3 = {b3}" in captured.err
+    assert "Poincare duality" in captured.err
+    assert "Traceback" not in captured.err
+    assert "overall" not in captured.out
+
+
 def _fractional_form(tmp_path):
     data = json.loads(fixture_path("three_cp2.json").read_text())
     data["intersection_form"][0][0] = 1.7

@@ -1,6 +1,7 @@
 """Numerical local model: profile curves, the assembled two-parameter map,
 the model 2-form, compatibility, Hodge stars, and level schedules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,8 +36,10 @@ from nearsymp.local_model import (
 from nearsymp.spinc_planner import plan_circles
 
 from oracles import (
+    J_near_reference,
     form_matrix_loop,
     hodge_star_general,
+    metric_factor_reference,
     phi_partials_central,
     smooth_step_where,
 )
@@ -125,11 +128,25 @@ def test_chart_point_validation():
 
 
 def test_two_form_validation():
-    with pytest.raises(ValueError):
-        TwoForm((1.0,) * 5)
+    for n in (5, 7):
+        with pytest.raises(ValueError):
+            TwoForm((1.0,) * n)
     with pytest.raises(ValueError):
         TwoForm((0,) * 6, "spherical")
     assert TwoForm((1, 0, 0, 0, 0, 0), CYLINDRICAL).components == (1.0, 0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("record", [FORM_A, G0], ids=["TwoForm", "Metric4"])
+def test_slotted_records_reject_assignment(record):
+    assert not hasattr(record, "__dict__")
+    name = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, 0.0)
+    # a name outside the slots is refused too, though by a TypeError: the
+    # frozen __setattr__ of a slotted dataclass names the class it replaced
+    # (CPython 3.10 to 3.12)
+    with pytest.raises((AttributeError, TypeError)):
+        record.extra = 0.0
 
 
 def test_two_form_matrix_is_antisymmetric():
@@ -381,6 +398,57 @@ def test_J_undefined_on_circle():
         J_near(0.0, 0.0, 0.0)
 
 
+# (T, x, y) with R = |x| exactly: sqrt of a correctly rounded square is |x|
+def _radius_points(R):
+    return [(0.0, R, 0.0), (0.0, -R, -0.0), (-0.0, R, 0.0)]
+
+
+def _edge_radii(eps_prime):
+    """eps'/2 and eps', each also one ulp either side."""
+    return [
+        v
+        for r in (eps_prime / 2.0, eps_prime)
+        for v in (math.nextafter(r, 0.0), r, math.nextafter(r, math.inf))
+    ]
+
+
+def _random_points(seed, n):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-4, 1, (n, 1))
+    pts = rng.uniform(-1.0, 1.0, (n, 3)) * scale
+    pts[np.arange(n // 10), rng.integers(0, 3, n // 10)] = 0.0  # one zero each
+    pts[n // 10 : n // 5, 0] = -0.0
+    return [tuple(p) for p in pts.tolist()]
+
+
+def test_J_near_matches_the_array_division_bit_for_bit():
+    # tobytes, so a -0.0 entry must match a -0.0 entry
+    points = _random_points(5, 20_000) + [
+        p for eps_prime in (0.5, 0.3, 1.0) for R in _edge_radii(eps_prime)
+        for p in _radius_points(R)
+    ] + [(1e-150, 0.0, 0.0), (0.0, 1e-160, 0.0), (-1e150, 3.0, -0.0)]
+    for T, x, y in points:
+        assert J_near(T, x, y).tobytes() == J_near_reference(T, x, y).tobytes(), (T, x, y)
+
+
+@pytest.mark.parametrize("eps_prime", [0.5, 0.3, 1.0, 1e-3, 7.0, 2.0**-20])
+def test_metric_g_matches_the_smooth_blend_bit_for_bit(eps_prime):
+    edge = []
+    for R in _edge_radii(eps_prime):
+        for T, x, y in _radius_points(R):
+            assert math.sqrt(4.0 * T * T + x * x + y * y) == R
+            edge.append((T, x, y))
+    rng = np.random.default_rng(17)
+    # radii spread over both pieces and the blend between them
+    near = [(0.0, R, 0.0) for R in rng.uniform(0.0, 1.5 * eps_prime, 2_000).tolist()]
+    for T, x, y in edge + near + _random_points(23, 2_000):
+        got = np.float64(metric_g(T, x, y, eps_prime).factor).tobytes()
+        want = np.float64(metric_factor_reference(T, x, y, eps_prime)).tobytes()
+        assert got == want, (T, x, y)
+    assert metric_g(0.0, eps_prime / 2.0, 0.0, eps_prime).factor == 1.0
+    assert metric_g(0.0, eps_prime, 0.0, eps_prime).factor == eps_prime
+
+
 def test_J_compatibility_and_taming():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -410,8 +478,15 @@ def test_metric_positive_definite_random():
     for _ in range(100):
         T, x, y = rng.uniform(-2, 2, 3)
         assert metric_g(T, x, y, 0.5).is_positive_definite()
-    with pytest.raises(ValueError):
-        metric_g(0, 0, 0, -1.0)
+
+
+# at each point one of the early exits (R <= eps'/2, R >= eps') would return
+# a factor if the eps' check came after them
+@pytest.mark.parametrize("point", [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+@pytest.mark.parametrize("eps_prime", [0.0, -0.0, -1.0])
+def test_metric_g_rejects_non_positive_eps_prime(point, eps_prime):
+    with pytest.raises(ValueError, match="eps_prime"):
+        metric_g(*point, eps_prime)
 
 
 def test_self_dual_frame():
