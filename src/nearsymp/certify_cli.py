@@ -99,10 +99,7 @@ class ManifoldInput:
     c: tuple[int, ...]
     handle_counts: Optional[tuple[int, int, int, int, int]] = None
     two_handle_framings: Optional[tuple[int, ...]] = None
-    distinguished_pair: Optional[tuple[int, int]] = None
     x0: Optional[tuple[int, ...]] = None
-    x_prime: Optional[tuple[int, ...]] = None
-    z: Optional[tuple[int, ...]] = None
     signs: Optional[tuple[int, ...]] = None
     tolerance: float = 1e-9
     grid: int = 200
@@ -117,13 +114,12 @@ class ManifoldInput:
 
 # every key of the input format, per JSON object; any other key is rejected
 _TOP_FIELDS = (
-    "intersection_form", "b1", "b3", "surfaces", "edges", "side_conditions",
-    "spinc", "options", "handle_counts", "two_handle_framings", "distinguished_pair",
+    "intersection_form", "b1", "b3", "surfaces", "edges",
+    "spinc", "options", "handle_counts", "two_handle_framings",
 )
 _SURFACE_FIELDS = ("genus", "cls", "self_intersection")
-_SPINC_FIELDS = ("c", "x0", "x_prime", "z")
+_SPINC_FIELDS = ("c", "x0")
 _OPTION_FIELDS = tuple(name for name, _ in _OPTIONS) + ("signs",)
-_PAIR_FIELDS = ("two_handle", "one_handle")
 
 
 def _object(value, path: str, known: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
@@ -199,14 +195,7 @@ def manifold_input_from_dict(data: dict) -> ManifoldInput:
                 f"edges[{k}]",
                 f"must join two distinct surfaces among 0..{len(surfaces) - 1}, got {list(edge)}",
             )
-    side_conditions = _list(data.get("side_conditions", []), "side_conditions")
-    if not all(isinstance(v, str) for v in side_conditions):
-        raise CertifyError("side_conditions", f"must be a list of strings, got {side_conditions!r}")
-    config = ConfigurationGraph(
-        vertices=tuple(surfaces),
-        edges=tuple(edges),
-        side_conditions=tuple(side_conditions),
-    )
+    config = ConfigurationGraph(vertices=tuple(surfaces), edges=tuple(edges))
     spinc = _object(data["spinc"], "spinc", _SPINC_FIELDS, ("c",))
     handle_counts = None
     if "handle_counts" in data:
@@ -222,29 +211,22 @@ def manifold_input_from_dict(data: dict) -> ManifoldInput:
     }
     if "signs" in opts:
         options["signs"] = _ints(opts["signs"], "options.signs")
-    pair = None
-    if "distinguished_pair" in data:
-        pair = _object(data["distinguished_pair"], "distinguished_pair", _PAIR_FIELDS, _PAIR_FIELDS)
-        pair = tuple(_int(pair[k], f"distinguished_pair.{k}") for k in _PAIR_FIELDS)
 
     def optional_ints(obj, key, prefix=""):
         return _ints(obj[key], prefix + key) if key in obj else None
 
+    fields = dict(
+        intersection_form=Q,
+        b1=_int(data["b1"], "b1"),
+        b3=_int(data["b3"], "b3"),
+        configuration=config,
+        c=_ints(spinc["c"], "spinc.c"),
+        handle_counts=handle_counts,
+        two_handle_framings=optional_ints(data, "two_handle_framings"),
+        x0=optional_ints(spinc, "x0", "spinc."),
+    )
     try:
-        return ManifoldInput(
-            intersection_form=Q,
-            b1=_int(data["b1"], "b1"),
-            b3=_int(data["b3"], "b3"),
-            configuration=config,
-            c=_ints(spinc["c"], "spinc.c"),
-            handle_counts=handle_counts,
-            two_handle_framings=optional_ints(data, "two_handle_framings"),
-            distinguished_pair=pair,
-            x0=optional_ints(spinc, "x0", "spinc."),
-            x_prime=optional_ints(spinc, "x_prime", "spinc."),
-            z=optional_ints(spinc, "z", "spinc."),
-            **options,
-        )
+        return ManifoldInput(**fields, **options)
     except CertifyError as exc:  # from _check_options: an option's value
         raise CertifyError(f"options.{exc.clause}", exc.detail) from None
 
@@ -544,6 +526,9 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
     clauses: list[CertClause] = []
 
     # hard preconditions -----------------------------------------------------
+    for name, value in (("b1", mi.b1), ("b3", mi.b3)):
+        if value < 0:
+            raise CertifyError(name, f"must be >= 0, got {value}")
     if mi.b1 != mi.b3:
         raise CertifyError(
             "b1, b3",
@@ -555,12 +540,6 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
             "dimension consistency",
             f"class vector has length {len(mi.c)}, form rank is {b2}",
         )
-    for name in ("x_prime", "z"):
-        cochain = getattr(mi, name)
-        if cochain is not None and len(cochain) != b2:
-            raise CertifyError(
-                f"spinc.{name}", f"has length {len(cochain)}, form rank is {b2}"
-            )
     for i, s in enumerate(mi.configuration.vertices):
         if len(s.cls) != b2:
             raise CertifyError(
@@ -569,8 +548,14 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
             )
         s.check_square(Q)
     sigma = topo_core.signature(Q)
-    rank = topo_core.smith_normal_form(Q.matrix).rank
-    b2_plus = (rank + sigma) // 2
+    snf = topo_core.smith_normal_form(Q.matrix)
+    if snf.rank != b2 or any(v != 1 for v in snf.divisors):
+        raise CertifyError(
+            "intersection_form",
+            "Poincare duality on a closed oriented 4-manifold needs a unimodular "
+            f"form, got Smith divisors {list(snf.divisors)} for b2 = {b2}",
+        )
+    b2_plus = (snf.rank + sigma) // 2
     if b2_plus <= 0:
         raise CertifyError(
             "positive part of the intersection form", f"b2+ = {b2_plus} must be > 0"
@@ -733,7 +718,7 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
         clauses.append(
             CertClause(
                 "capping handle decomposition", True, "computed",
-                list(e_counts.counts),
+                list(e_counts),
                 [1, 2 * g_prime + first.self_intersection - 1,
                  first.self_intersection, 0, 0],
                 "one 0-handle, 2g'+m-1 one-handles, m two-handles framed +1",

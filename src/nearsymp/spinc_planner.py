@@ -1,12 +1,11 @@
 """Exact planning layer: adjunction-style constraints, the signed circle
 count d, circle plans with level schedules, genus stabilization bookkeeping,
-cocycle selection mod 2, torsion adjustment, and plumbing/configuration
-builders.
+cocycle selection mod 2, and plumbing/configuration builders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .topo_core import (
@@ -57,7 +56,6 @@ class ConfigurationGraph:
 
     vertices: tuple[SurfaceSpec, ...]
     edges: tuple[tuple[int, int], ...] = ()
-    side_conditions: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -67,7 +65,6 @@ class ConfigurationGraph:
                 raise ValueError("edges must join distinct surfaces")
             norm.append((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "side_conditions", tuple(self.side_conditions))
 
     def intersection(self, i: int, j: int) -> int:
         if i == j:
@@ -100,19 +97,6 @@ class CirclePlan:
                 raise ValueError("levels must run from 0.9 to 1.0")
             if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
                 raise ValueError("levels must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class HandleCounts:
-    """Handle counts per index."""
-
-    counts: tuple[int, int, int, int, int]
-
-    def __post_init__(self):
-        counts = tuple(int(n) for n in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if any(n < 0 for n in counts):
-            raise ValueError("handle counts must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +207,14 @@ def custom_circle_plan(signs: Sequence[int]) -> CirclePlan:
     return CirclePlan(signs=signs, levels=_uniform_levels(len(signs)), d=sum(signs))
 
 
-def e_decomposition(g: int, m: int) -> HandleCounts:
-    """Handle decomposition of the standard capping piece: one 0-handle,
+def e_decomposition(g: int, m: int) -> tuple[int, int, int, int, int]:
+    """Handle counts per index of the standard capping piece: one 0-handle,
     2g + m - 1 one-handles and m two-handles, each framed +1."""
     if m <= 0:
         raise ValueError("surface square m must be positive")
     if g < 0:
         raise ValueError("genus must be non-negative")
-    return HandleCounts(counts=(1, 2 * g + m - 1, m, 0, 0))
+    return (1, 2 * g + m - 1, m, 0, 0)
 
 
 def stabilized_surface_genus(g: int) -> int:
@@ -258,7 +242,6 @@ def cap_corollary_config(m: int, g: int) -> ConfigurationGraph:
     config = ConfigurationGraph(
         vertices=(sigma1, sigma2, sigma3),
         edges=((1, 2), (0, 2)),
-        side_conditions=("c.Sigma_2 = 2", "c.Sigma_3 = 2"),
     )
     det = plumbing_form(config).det()
     if det != -m:
@@ -325,35 +308,3 @@ def choose_cocycle(
     dy = [sum(delta[i][j] * y[j] for j in range(len(y))) for i in range(n2)]
     return IntegerCochain(values=tuple(a - b for a, b in zip(x0.values, dy)))
 
-
-def torsion_adjust(
-    x0: IntegerCochain,
-    z: IntegerCochain,
-    C: ChainComplex,
-    p_plus_1: int,
-    b: int,
-) -> IntegerCochain:
-    """Shift x0 by twice an order-2 cocycle, normalized on the distinguished
-    2-cell.
-
-    Requires the distinguished 2-cell to have boundary exactly the
-    distinguished 1-cell, so subtracting z(that cell) times the coboundary of
-    the dual 1-cochain zeroes z there.  Returns x0 - 2 * (normalized z).
-    """
-    d2 = C.boundary[2]
-    n1, n2 = C.cells_per_degree[1], C.cells_per_degree[2]
-    if not (0 <= p_plus_1 < n2 and 0 <= b < n1):
-        raise ValueError("distinguished indices out of range")
-    col = [d2[i][p_plus_1] for i in range(n1)]
-    want = [1 if i == b else 0 for i in range(n1)]
-    if col != want:
-        raise ValueError(
-            "complex lacks the distinguished pair: boundary of the "
-            "distinguished 2-cell is not the distinguished 1-cell"
-        )
-    delta = coboundary_matrix(C, 1)
-    zb = z.values[p_plus_1]
-    dzb = [delta[i][b] * zb for i in range(n2)]
-    z_norm = [v - w for v, w in zip(z.values, dzb)]
-    assert z_norm[p_plus_1] == 0
-    return IntegerCochain(values=tuple(a - 2 * v for a, v in zip(x0.values, z_norm)))

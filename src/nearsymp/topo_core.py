@@ -39,21 +39,6 @@ def _shape(A: IntMatrix) -> tuple[int, int]:
     return (len(A), len(A[0]) if A else 0)
 
 
-def _identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
-    ra, ca = _shape(A)
-    rb, cb = _shape(B)
-    if ca != rb:
-        raise ValueError(f"shape mismatch in product: {ra}x{ca} times {rb}x{cb}")
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(ca)) for j in range(cb)]
-        for i in range(ra)
-    ]
-
-
 def _transpose(A: IntMatrix) -> IntMatrix:
     r, c = _shape(A)
     return [[A[i][j] for i in range(r)] for j in range(c)]
@@ -132,6 +117,10 @@ class ChainComplex:
                 "cells_per_degree needs one count for each degree 0..4, "
                 f"got {len(self.cells_per_degree)}"
             )
+        if any(n < 0 for n in self.cells_per_degree):
+            raise ValueError(
+                f"cell counts must be non-negative, got {list(self.cells_per_degree)}"
+            )
         bnd = {int(k): _as_int_matrix(v) for k, v in self.boundary.items()}
         # materialize zero matrices for degrees the caller omitted
         for k in range(1, 5):
@@ -141,9 +130,6 @@ class ChainComplex:
                     for _ in range(self.cells_per_degree[k - 1])
                 ]
         object.__setattr__(self, "boundary", bnd)
-
-    def d(self, k: int) -> IntMatrix:
-        return self.boundary[k]
 
 
 @dataclass(frozen=True)
@@ -192,9 +178,10 @@ class IntegerCochain:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    U: IntMatrix
+    """The diagonal form D of a Smith decomposition U*A*V = D; the
+    unimodular U and V are not kept."""
+
     D: IntMatrix
-    V: IntMatrix
     rank: int
     divisors: tuple[int, ...]
 
@@ -204,51 +191,12 @@ class SmithDecomposition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    violations: tuple[str, ...]
-
-
-def validate_complex(C: ChainComplex) -> ValidationReport:
-    """Check matrix shapes and that consecutive boundaries compose to zero."""
-    violations: list[str] = []
-    counts = C.cells_per_degree
-    for k in range(1, 5):
-        M = C.boundary[k]
-        want = (counts[k - 1], counts[k])
-        got = _shape(M) if (M or counts[k] == 0) else (counts[k - 1], 0)
-        rows = len(M)
-        cols = len(M[0]) if M else 0
-        if counts[k - 1] == 0:
-            rows_ok = rows == 0 or all(len(r) == counts[k] for r in M)
-        else:
-            rows_ok = rows == counts[k - 1]
-        if not rows_ok or (rows and cols != counts[k]):
-            violations.append(
-                f"boundary[{k}] has shape {(rows, cols)}, expected {want}"
-            )
-    if not violations:
-        for k in range(2, 5):
-            if counts[k] == 0 or counts[k - 2] == 0:
-                continue
-            P = _matmul(C.boundary[k - 1], C.boundary[k])
-            for i, row in enumerate(P):
-                for j, v in enumerate(row):
-                    if v != 0:
-                        violations.append(
-                            f"boundary composite nonzero in degree {k}: "
-                            f"entry ({i},{j}) = {v}"
-                        )
-    return ValidationReport(valid=not violations, violations=tuple(violations))
-
-
 def euler_characteristic(C: ChainComplex) -> int:
     return sum((-1) ** k * n for k, n in enumerate(C.cells_per_degree))
 
 
 def smith_normal_form(A) -> SmithDecomposition:
-    """Smith normal form U*A*V = D with unimodular U, V.
+    """Smith normal form D = U*A*V of A, for some unimodular U, V.
 
     Pivot rule: the smallest-magnitude nonzero entry of the working
     submatrix, ties broken in row-major order, so the output is
@@ -258,8 +206,6 @@ def smith_normal_form(A) -> SmithDecomposition:
     """
     M = _as_int_matrix(A)
     m, n = _shape(M)
-    U = _identity(m)
-    V = _identity(n)
 
     t = 0
     while t < min(m, n):
@@ -277,11 +223,8 @@ def smith_normal_form(A) -> SmithDecomposition:
         i, j = best
         if i != t:
             M[i], M[t] = M[t], M[i]
-            U[i], U[t] = U[t], U[i]
         if j != t:
             for row in M:
-                row[j], row[t] = row[t], row[j]
-            for row in V:
                 row[j], row[t] = row[t], row[j]
 
         # a row operation reads only the pivot row, and a column operation
@@ -291,13 +234,11 @@ def smith_normal_form(A) -> SmithDecomposition:
         for i in range(t + 1, m):
             if q := M[i][t] // p:
                 M[i] = [a - q * b for a, b in zip(M[i], M[t])]
-                U[i] = [a - q * b for a, b in zip(U[i], U[t])]
         col_q = [(j, q) for j in range(t + 1, n) if (q := M[t][j] // p)]
-        for W in (M, V):
-            for row in W:
-                if r := row[t]:
-                    for j, q in col_q:
-                        row[j] -= q * r
+        for row in M:
+            if r := row[t]:
+                for j, q in col_q:
+                    row[j] -= q * r
         if any(M[i][t] for i in range(t + 1, m)) or any(M[t][t + 1:]):
             continue  # remainders became new, smaller pivot candidates
 
@@ -308,64 +249,13 @@ def smith_normal_form(A) -> SmithDecomposition:
             )
             if bad is not None:
                 M[t] = [a + b for a, b in zip(M[t], M[bad])]
-                U[t] = [a + b for a, b in zip(U[t], U[bad])]
                 continue
         if p < 0:
             M[t] = [-v for v in M[t]]
-            U[t] = [-v for v in U[t]]
         t += 1
 
     divisors = tuple(M[i][i] for i in range(min(m, n)) if M[i][i] != 0)
-    return SmithDecomposition(U=U, D=M, V=V, rank=len(divisors), divisors=divisors)
-
-
-def _rank(A: IntMatrix) -> int:
-    if not A or not A[0]:
-        return 0
-    return smith_normal_form(A).rank
-
-
-def homology(C: ChainComplex, k: int) -> tuple[int, list[int]]:
-    """Rank and torsion coefficients of H_k of the complex."""
-    if not 0 <= k <= 4:
-        raise ValueError(f"degree {k} out of range 0..4")
-    n_k = C.cells_per_degree[k]
-    rank_in = _rank(C.boundary[k]) if k >= 1 else 0
-    snf_out = (
-        smith_normal_form(C.boundary[k + 1]) if k + 1 <= 4 else None
-    )
-    rank_out = snf_out.rank if snf_out else 0
-    betti = n_k - rank_in - rank_out
-    torsion = [d for d in (snf_out.divisors if snf_out else ()) if d > 1]
-    return betti, torsion
-
-
-def has_odd_torsion_only(C: ChainComplex, k: int) -> bool:
-    """Predicate: H_k has no 2-torsion (hypothesis for the gluing clause)."""
-    _, torsion = homology(C, k)
-    return all(d % 2 == 1 for d in torsion)
-
-
-def intersection_form_from_link(
-    framings: Sequence[int], linkings: IntMatrix
-) -> SymmetricForm:
-    """Intersection form of a 2-handlebody on a framed link without 1-handles.
-
-    Diagonal = framings; off-diagonal = pairwise linking numbers.  The
-    ``linkings`` matrix must be symmetric with zero diagonal.
-    """
-    n = len(framings)
-    L = _as_int_matrix(linkings)
-    if _shape(L) != (n, n):
-        raise ValueError("linkings shape does not match number of components")
-    for i in range(n):
-        if L[i][i] != 0:
-            raise ValueError(f"linkings diagonal must be zero, entry {i} is {L[i][i]}")
-        for j in range(n):
-            if L[i][j] != L[j][i]:
-                raise ValueError(f"linkings not symmetric at ({i},{j})")
-    Q = [[L[i][j] if i != j else int(framings[i]) for j in range(n)] for i in range(n)]
-    return SymmetricForm(matrix=Q)
+    return SmithDecomposition(D=M, rank=len(divisors), divisors=divisors)
 
 
 def signature(Q: SymmetricForm) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -95,13 +96,27 @@ def signature_fraction(matrix) -> int:
     return sig
 
 
-def smith_normal_form_reference(A):
+@dataclass(frozen=True)
+class SmithReference:
+    """A Smith decomposition U*A*V = D with its unimodular transforms."""
+
+    U: list
+    D: list
+    V: list
+    rank: int
+    divisors: tuple
+
+    def same_form(self, snf) -> bool:
+        """Whether the package's D, rank and divisors are these."""
+        return (snf.D, snf.rank, snf.divisors) == (self.D, self.rank, self.divisors)
+
+
+def smith_normal_form_reference(A) -> SmithReference:
     """Smith normal form U*A*V = D by the package's pivot rule, with full
     scans: the smallest-magnitude nonzero entry of the working submatrix,
     ties broken in row-major order, and the divisibility chain checked at
-    every pivot.  Each row and column operation is applied entry by entry."""
-    from nearsymp.topo_core import SmithDecomposition
-
+    every pivot.  Each row and column operation is applied entry by entry,
+    to U and V as well as to D."""
     M = [[int(v) for v in row] for row in A]
     m, n = len(M), len(M[0]) if M else 0
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -180,18 +195,22 @@ def smith_normal_form_reference(A):
         t += 1
 
     divisors = tuple(M[i][i] for i in range(min(m, n)) if M[i][i] != 0)
-    return SmithDecomposition(U=U, D=M, V=V, rank=len(divisors), divisors=divisors)
+    return SmithReference(U=U, D=M, V=V, rank=len(divisors), divisors=divisors)
 
 
 def recheck_smith(A, snf) -> None:
-    """Assert U*A*V = D, U and V unimodular, and the divisibility chain."""
+    """Assert that the package's Smith form ``snf`` of A is the reference's,
+    that the reference's U*A*V = D with U and V unimodular, and that D is
+    diagonal with a divisibility chain."""
+    ref = smith_normal_form_reference(A)
+    assert ref.same_form(snf), f"D, rank, divisors: {snf} vs {ref}"
     A = [[int(v) for v in row] for row in A]
-    got = matmul(matmul(snf.U, A), snf.V)
-    assert got == snf.D, f"U*A*V != D: {got} vs {snf.D}"
-    if snf.U:
-        assert abs(det_exact(snf.U)) == 1, "U not unimodular"
-    if snf.V:
-        assert abs(det_exact(snf.V)) == 1, "V not unimodular"
+    got = matmul(matmul(ref.U, A), ref.V)
+    assert got == ref.D, f"U*A*V != D: {got} vs {ref.D}"
+    if ref.U:
+        assert abs(det_exact(ref.U)) == 1, "U not unimodular"
+    if ref.V:
+        assert abs(det_exact(ref.V)) == 1, "V not unimodular"
     divs = snf.divisors
     for a, b in zip(divs, divs[1:]):
         assert b % a == 0, f"divisibility chain broken: {a} does not divide {b}"
@@ -230,13 +249,11 @@ def exhaustive_mod2(A, b):
 
 
 def in_integer_column_span(A, b) -> bool:
-    """Does A y = b have an integer solution?  Decided through the Smith
-    form: with U A V = D, solvability is divisibility of (U b) by the
+    """Does A y = b have an integer solution?  Decided through the reference
+    Smith form: with U A V = D, solvability is divisibility of (U b) by the
     diagonal plus vanishing beyond the rank."""
-    from nearsymp.topo_core import smith_normal_form
-
     m = len(A)
-    snf = smith_normal_form(A)
+    snf = smith_normal_form_reference(A)
     Ub = [sum(snf.U[i][k] * b[k] for k in range(m)) for i in range(m)]
     for i in range(m):
         if i < snf.rank:

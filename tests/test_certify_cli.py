@@ -48,15 +48,11 @@ def test_fixture_round_trip(name, tmp_path):
     # read back, parses to the fixture with those fields replaced
     doc = json.loads(fixture_path(name).read_text())
     n = len(doc["intersection_form"])
-    doc["distinguished_pair"] = {"two_handle": 0, "one_handle": 0}
-    doc["spinc"] = dict(doc["spinc"], x_prime=[1] * n, z=[0] * n)
+    doc["spinc"] = dict(doc["spinc"], x0=[1] * n)
     doc["options"] = dict(doc["options"], signs=[-1, 1])
     out = tmp_path / "echo.json"
     out.write_text(json.dumps(doc))
-    want = dataclasses.replace(
-        parse_input(fixture_path(name)),
-        distinguished_pair=(0, 0), x_prime=(1,) * n, z=(0,) * n, signs=(-1, 1),
-    )
+    want = dataclasses.replace(parse_input(fixture_path(name)), x0=(1,) * n, signs=(-1, 1))
     assert parse_input(out) == want
 
 
@@ -70,11 +66,9 @@ def test_every_key_of_the_input_format_parses():
             {"genus": 0, "cls": [0, 1], "self_intersection": -1},
         ],
         "edges": [[1, 0]],
-        "side_conditions": ["simply connected"],
-        "spinc": {"c": [1, 1], "x0": [3, 1], "x_prime": [1, 0], "z": [0, 2]},
+        "spinc": {"c": [1, 1], "x0": [3, 1]},
         "handle_counts": [1, 1, 2, 1, 1],
         "two_handle_framings": [1, -1],
-        "distinguished_pair": {"two_handle": 1, "one_handle": 0},
         "options": {
             "tolerance": 1e-7, "grid": 40, "seed": 5,
             "profile_eps": 1.5, "profile_delta": 0.25, "signs": [-1, 1, -1],
@@ -92,11 +86,9 @@ def test_every_key_of_the_input_format_parses():
         SurfaceSpec(genus=0, cls=(0, 1), self_intersection=-1),
     )
     assert mi.configuration.edges == ((0, 1),)
-    assert mi.configuration.side_conditions == ("simply connected",)
-    assert (mi.c, mi.x0, mi.x_prime, mi.z) == ((1, 1), (3, 1), (1, 0), (0, 2))
+    assert (mi.c, mi.x0) == ((1, 1), (3, 1))
     assert mi.handle_counts == (1, 1, 2, 1, 1)
     assert mi.two_handle_framings == (1, -1)
-    assert mi.distinguished_pair == (1, 0)
     assert mi.signs == (-1, 1, -1)
     assert (mi.tolerance, mi.grid, mi.seed) == (1e-7, 40, 5)
     assert (mi.profile_eps, mi.profile_delta) == (1.5, 0.25)
@@ -384,17 +376,17 @@ def _set_cls(data):
 @pytest.mark.parametrize(
     "mutate, field",
     [
-        (lambda d: d.update(distinguished_pair={"two_handle": 0}), "one_handle"),
         (_set_cls, "surfaces[0].cls"),
         (lambda d: d.update(intersection_form=[[1, 0], [0]]), "intersection_form"),
-        (lambda d: d.update(b1=None), "b1"),
+        # named as given, not as an option
+        (lambda d: d.update(b1=None), "error: b1:"),
+        (lambda d: d["spinc"].update(c=[1, 1.5, 3]), "error: spinc.c[1]:"),
+        (lambda d: d.update(two_handle_framings=["1", 1, 1]), "error: two_handle_framings[0]:"),
         (lambda d: d.update(edges=[[0, 7]]), "edges[0]"),
         (lambda d: d.update(colour="blue"), "colour"),
-        (lambda d: d["spinc"].update(x_prime=[1]), "spinc.x_prime"),
-        (lambda d: d["spinc"].update(z=[0, 0, 0, 0]), "spinc.z"),
     ],
-    ids=["pair-without-one-handle", "scalar-class", "ragged-form", "null-b1",
-         "edge-to-missing-surface", "unknown-field", "short-x-prime", "long-z"],
+    ids=["scalar-class", "ragged-form", "null-b1", "fractional-class-entry",
+         "string-framing", "edge-to-missing-surface", "unknown-field"],
 )
 def test_cli_certify_rejects_malformed_field(tmp_path, capsys, mutate, field):
     data = json.loads(fixture_path("three_cp2.json").read_text())
@@ -423,6 +415,58 @@ def test_cli_certify_rejects_b1_unequal_b3(tmp_path, capsys, b1, b3):
     assert "Poincare duality" in captured.err
     assert "Traceback" not in captured.err
     assert "overall" not in captured.out
+
+
+def _non_unimodular(data):
+    # diag(1, 1, 5) with the first two surfaces: c = x0 = (1, 3, 1) is
+    # characteristic and meets every pairing clause, and d = -1
+    data["intersection_form"] = [[1, 0, 0], [0, 1, 0], [0, 0, 5]]
+    data["surfaces"] = data["surfaces"][:2]
+    data["spinc"] = {"c": [1, 3, 1], "x0": [1, 3, 1]}
+    data["two_handle_framings"] = [1, 1, 5]
+
+
+def _negative_betti(data):
+    # without handle_counts, chi = 2 - b1 + b2 - b3 = 9 sees no contradiction
+    data.update(b1=-2, b3=-2)
+    del data["handle_counts"]
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d: d["spinc"].update(x_prime=[1, 3, 3]), "unknown field 'spinc.x_prime'"),
+        (lambda d: d["spinc"].update(z=[0, 0, 0]), "unknown field 'spinc.z'"),
+        (lambda d: d.update(distinguished_pair={"two_handle": 0, "one_handle": 0}),
+         "unknown field 'distinguished_pair'"),
+        (lambda d: d.update(side_conditions=["simply connected"]),
+         "unknown field 'side_conditions'"),
+        (_non_unimodular, "error: intersection_form: "),
+        (_negative_betti, "error: b1: "),
+        (lambda d: d.update(handle_counts=[1, -1, 3, -1, 1]), "error: handle_counts: "),
+    ],
+    ids=["x-prime", "z", "distinguished-pair", "side-conditions", "non-unimodular",
+         "negative-b1-b3", "negative-handle-count"],
+)
+def test_cli_certify_rejects_unused_keys_and_impossible_inputs(tmp_path, capsys, mutate, field):
+    # keys nothing reads, and inputs that no closed oriented 4-manifold has
+    data = json.loads(fixture_path("three_cp2.json").read_text())
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["certify", str(path), "--grid", "20"]) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert "options." not in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_certify_rejects_negative_betti_numbers_given_directly(three_cp2):
+    for b in ({"b1": -1, "b3": -1}, {"b3": -1}):
+        with pytest.raises(CertifyError) as err:
+            certify(dataclasses.replace(three_cp2, **b), run_battery=False)
+        assert err.value.clause == next(iter(b))
 
 
 def _fractional_form(tmp_path):

@@ -1,5 +1,5 @@
-"""Exact linear algebra layer: chain complexes, Smith form, homology,
-signatures, characteristic vectors, GF(2) solving."""
+"""Exact linear algebra layer: chain complexes, Smith form, signatures,
+characteristic vectors, GF(2) solving."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,11 @@ from nearsymp.topo_core import (
     SymmetricForm,
     coboundary_matrix,
     euler_characteristic,
-    has_odd_torsion_only,
-    homology,
-    intersection_form_from_link,
     is_characteristic,
     pairing,
     signature,
     smith_normal_form,
     solve_mod2,
-    validate_complex,
 )
 
 from oracles import (
@@ -45,41 +41,8 @@ E8 = [
 
 
 # ---------------------------------------------------------------------------
-# complexes and validation
+# complexes
 # ---------------------------------------------------------------------------
-
-
-def test_empty_complex_is_valid():
-    C = ChainComplex(cells_per_degree=(0, 0, 0, 0, 0))
-    assert validate_complex(C).valid
-
-
-def test_composable_boundaries_valid():
-    C = ChainComplex(
-        cells_per_degree=(1, 1, 1, 0, 0),
-        boundary={1: [[0]], 2: [[2]]},
-    )
-    assert validate_complex(C).valid
-
-
-def test_nonzero_composite_boundary_reported():
-    C = ChainComplex(
-        cells_per_degree=(1, 1, 1, 0, 0),
-        boundary={1: [[1]], 2: [[1]]},
-    )
-    report = validate_complex(C)
-    assert not report.valid
-    assert any("composite" in v for v in report.violations)
-
-
-def test_shape_mismatch_reported():
-    C = ChainComplex(
-        cells_per_degree=(1, 2, 1, 0, 0),
-        boundary={1: [[0]], 2: [[1], [0]]},
-    )
-    report = validate_complex(C)
-    assert not report.valid
-    assert any("shape" in v for v in report.violations)
 
 
 def test_euler_characteristic_values():
@@ -154,77 +117,13 @@ def smith_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(smith_inputs())
 def test_smith_matches_reference(A):
-    # U, D, V, rank and divisors, all equal
-    assert smith_normal_form(A) == smith_normal_form_reference(A)
-
-
-# ---------------------------------------------------------------------------
-# homology
-# ---------------------------------------------------------------------------
-
-
-def test_homology_sphere_like():
-    C = ChainComplex((1, 0, 0, 0, 1))
-    assert homology(C, 0) == (1, [])
-    assert homology(C, 2) == (0, [])
-    assert homology(C, 4) == (1, [])
-
-
-def test_homology_rank_three_middle():
-    C = ChainComplex((1, 0, 3, 0, 1))
-    assert homology(C, 2) == (3, [])
-
-
-def test_homology_torsion_two():
-    C = ChainComplex(
-        cells_per_degree=(1, 1, 1, 0, 0),
-        boundary={1: [[0]], 2: [[2]]},
-    )
-    assert homology(C, 1) == (0, [2])
-    assert not has_odd_torsion_only(C, 1)
-
-
-def test_homology_torsion_odd():
-    C = ChainComplex(
-        cells_per_degree=(1, 1, 1, 0, 0),
-        boundary={1: [[0]], 2: [[3]]},
-    )
-    assert homology(C, 1) == (0, [3])
-    assert has_odd_torsion_only(C, 1)
-
-
-def test_homology_degree_out_of_range():
-    with pytest.raises(ValueError):
-        homology(ChainComplex((1, 0, 0, 0, 0)), 5)
+    # D, rank and divisors, all equal
+    assert smith_normal_form_reference(A).same_form(smith_normal_form(A))
 
 
 # ---------------------------------------------------------------------------
 # intersection forms and signatures
 # ---------------------------------------------------------------------------
-
-
-def test_form_from_unlinked_plus_one_framings():
-    Q = intersection_form_from_link([1, 1, 1], [[0] * 3 for _ in range(3)])
-    assert Q.matrix == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-
-def test_form_from_hopf_pair():
-    Q = intersection_form_from_link([0, 0], [[0, 1], [1, 0]])
-    assert Q.matrix == [[0, 1], [1, 0]]
-
-
-def test_form_single_component():
-    assert intersection_form_from_link([5], [[0]]).matrix == [[5]]
-
-
-def test_form_rejects_nonzero_linking_diagonal():
-    with pytest.raises(ValueError):
-        intersection_form_from_link([0, 0], [[1, 0], [0, 0]])
-
-
-def test_form_rejects_asymmetric_linkings():
-    with pytest.raises(ValueError):
-        intersection_form_from_link([0, 0], [[0, 1], [2, 0]])
 
 
 def test_signature_positive_diagonal():
@@ -330,12 +229,13 @@ def test_signature_and_det_at_b2_48_after_basis_change(plus, minus, hyperbolic):
     assert P.det() == det
 
 
-# dense forms with entries in the hundreds: about 0.5 s each on either side
+# dense forms with entries in the hundreds, whose reference U and V reach
+# thousands of bits: a few tenths of a second each on the reference side
 @settings(max_examples=4, deadline=None)
 @given(st.sampled_from(B2_48_BLOCKS), st.integers(0, 2**32 - 1))
 def test_smith_matches_reference_at_b2_48(blocks, seed):
     Q = _basis_change(_block_form(*blocks), np.random.default_rng(seed))
-    assert smith_normal_form(Q) == smith_normal_form_reference(Q)
+    assert smith_normal_form_reference(Q).same_form(smith_normal_form(Q))
 
 
 # ---------------------------------------------------------------------------
