@@ -180,13 +180,13 @@ def manifold_input_from_dict(data: dict) -> ManifoldInput:
     for i, s in enumerate(data["surfaces"]):
         path = f"surfaces[{i}]"
         _object(s, path, _SURFACE_FIELDS, _SURFACE_FIELDS)
-        surfaces.append(
-            SurfaceSpec(
-                genus=_int(s["genus"], f"{path}.genus"),
-                cls=_ints(s["cls"], f"{path}.cls"),
-                self_intersection=_int(s["self_intersection"], f"{path}.self_intersection"),
-            )
-        )
+        genus = _int(s["genus"], f"{path}.genus")
+        cls = _ints(s["cls"], f"{path}.cls")
+        square = _int(s["self_intersection"], f"{path}.self_intersection")
+        try:
+            surfaces.append(SurfaceSpec(genus=genus, cls=cls, self_intersection=square))
+        except ValueError as exc:  # the only check SurfaceSpec makes: the genus
+            raise CertifyError(f"{path}.genus", str(exc)) from exc
     edges = _list(data.get("edges", []), "edges")
     edges = [_ints(edge, f"edges[{k}]") for k, edge in enumerate(edges)]
     for k, edge in enumerate(edges):
@@ -546,7 +546,10 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
                 "dimension consistency",
                 f"surface {i + 1} class has length {len(s.cls)}, form rank is {b2}",
             )
-        s.check_square(Q)
+        try:
+            s.check_square(Q)
+        except ValueError as exc:
+            raise CertifyError(f"surfaces[{i}].self_intersection", str(exc)) from exc
     sigma = topo_core.signature(Q)
     snf = topo_core.smith_normal_form(Q.matrix)
     if snf.rank != b2 or any(v != 1 for v in snf.divisors):

@@ -290,6 +290,20 @@ class ProfileCurve:
         r = np.sqrt(1.0 + rho**2)
         return r * np.cos(a), r * np.sin(a)
 
+    def lutz_point(self, rho: float) -> tuple[float, float]:
+        """``lutz_profile`` at one Python float, line for line in ``math``:
+        the smooth_step clamp and floors, ``_sigma``, ``twist_angle`` and
+        the radius.  ``rho * rho`` rather than ``rho**2``: float ``**``
+        raises OverflowError where numpy gives inf."""
+        u = min(max(rho / self.RB1, 0.0), 1.0)
+        a = math.exp(-1.0 / max(u, 1e-300))
+        b = math.exp(-1.0 / max(1.0 - u, 1e-300))
+        s = a / (a + b)
+        sigma = self.kappa * rho + (1.0 - self.kappa * rho) * s
+        angle = math.atan2(rho, 1.0) - math.pi * (1.0 - sigma)
+        r = math.sqrt(1.0 + rho * rho)
+        return r * math.cos(angle), r * math.sin(angle)
+
     def lutz_profile_d(self, rho):
         """Analytic rho-derivatives (g1', f1')."""
         rho = np.asarray(rho, dtype=float)
@@ -390,10 +404,16 @@ def _curve_for(eps: float) -> ProfileCurve:
 
 
 def contact_profile(kind: str, rho: float, eps: float) -> tuple[float, float]:
-    """The boundary profiles, returned as (f, g).
+    """The boundary profiles at one rho, returned as Python floats (f, g).
 
     standard: (rho, 1).  lutz: the twisted profile, starting at (0, -1) and
     agreeing with the standard profile for rho near eps^2/2.
+
+    The lutz profile is evaluated in Python floats by
+    ``ProfileCurve.lutz_point``, not by ``lutz_profile`` on a 0-d array:
+    ``contact_positivity`` makes one call per point (perfbench's traced run
+    counts 12000 a battery until ROADMAP item 1), and numpy's per-call cost
+    on a 0-d array was most of the battery.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -402,9 +422,8 @@ def contact_profile(kind: str, rho: float, eps: float) -> tuple[float, float]:
     if kind == "standard":
         return (float(rho), 1.0)
     if kind == "lutz":
-        P = _curve_for(eps)
-        g1, f1 = P.lutz_profile(np.asarray(rho, dtype=float))
-        return (float(f1), float(g1))
+        g1, f1 = _curve_for(eps).lutz_point(float(rho))
+        return (f1, g1)
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
@@ -421,9 +440,11 @@ def contact_positivity(
     """Minimum of g f' - f g' over a uniform grid, by central differences."""
     rho = np.linspace(0.0, rho_max, samples)
     rc = np.clip(rho, h, rho_max - h)
-    fp = np.array([profile(v) for v in rc + h])
-    fm = np.array([profile(v) for v in rc - h])
-    f0 = np.array([profile(v) for v in rc])
+    # Python floats, not numpy scalars: the lutz profile evaluates them in
+    # math, without numpy's per-call cost
+    fp = np.array([profile(v) for v in (rc + h).tolist()])
+    fm = np.array([profile(v) for v in (rc - h).tolist()])
+    f0 = np.array([profile(v) for v in rc.tolist()])
     df = (fp[:, 0] - fm[:, 0]) / (2 * h)
     dg = (fp[:, 1] - fm[:, 1]) / (2 * h)
     val = f0[:, 1] * df - f0[:, 0] * dg

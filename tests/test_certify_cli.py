@@ -384,9 +384,13 @@ def _set_cls(data):
         (lambda d: d.update(two_handle_framings=["1", 1, 1]), "error: two_handle_framings[0]:"),
         (lambda d: d.update(edges=[[0, 7]]), "edges[0]"),
         (lambda d: d.update(colour="blue"), "colour"),
+        (lambda d: d["surfaces"][0].update(self_intersection=2),
+         "error: surfaces[0].self_intersection:"),
+        (lambda d: d["surfaces"][0].update(genus=-1), "error: surfaces[0].genus:"),
     ],
     ids=["scalar-class", "ragged-form", "null-b1", "fractional-class-entry",
-         "string-framing", "edge-to-missing-surface", "unknown-field"],
+         "string-framing", "edge-to-missing-surface", "unknown-field",
+         "wrong-self-intersection", "negative-genus"],
 )
 def test_cli_certify_rejects_malformed_field(tmp_path, capsys, mutate, field):
     data = json.loads(fixture_path("three_cp2.json").read_text())
@@ -552,6 +556,19 @@ def test_cli_smallest_usable_profile_eps_gives_a_certificate(capsys):
     captured = capsys.readouterr()
     assert "[FAIL] profile map is an orientation-preserving immersion" in captured.out
     assert captured.err == ""
+
+
+def test_cli_huge_profile_eps_fails_positivity_without_traceback(capsys):
+    # eps^2/2 = 5e199 is finite, so the option is usable; rho^2 overflows to
+    # inf in the profiles, the positivity clause fails, and the exit code is
+    # 1 rather than an OverflowError traceback
+    argv = ["certify", str(fixture_path("three_cp2.json")), "--grid", "20", "--profile-eps", "1e100"]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] contact positivity of both profiles" in captured.out
+    assert "overall: FAIL" in captured.out
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])

@@ -194,6 +194,23 @@ def test_profile_rejects_out_of_range():
         contact_profile("standard", 0.1, -1.0)
 
 
+@pytest.mark.parametrize("eps", [0.002, 0.05, 0.6, 1.0, 1.5, 30.0])
+def test_lutz_point_matches_lutz_profile(eps):
+    # the float path of contact_profile against the array formula: both
+    # ends, the seam RB1 where the twist stops and one ulp on either side
+    P = ProfileCurve(eps=eps)
+    seam = [P.RB1, math.nextafter(P.RB1, 0.0), math.nextafter(P.RB1, math.inf)]
+    rho = np.concatenate([[0.0, P.rho_max], seam, np.linspace(0.0, P.rho_max, 2000)])
+    g, f = P.lutz_profile(rho)
+    points = np.array([P.lutz_point(r) for r in rho.tolist()])
+    bound = 16 * np.spacing(np.sqrt(1.0 + rho * rho))
+    assert np.all(np.abs(points[:, 0] - g) <= bound)
+    assert np.all(np.abs(points[:, 1] - f) <= bound)
+    for kind in ("standard", "lutz"):
+        for r in (0.0, np.float64(P.RB1), P.rho_max):
+            assert all(type(v) is float for v in contact_profile(kind, r, eps))
+
+
 def test_contact_positivity_linear_profile():
     val = contact_positivity(lambda r: (r, 1.0), 0.5, samples=500)
     assert abs(val - 1.0) < 1e-9
