@@ -9,11 +9,15 @@ circle plan, stabilization plans, and obstruction ledger.
 
 Certificates are deterministic: identical input files and seeds produce
 byte-identical JSON output, with the sampling seed echoed.
+
+The exact side runs without numpy: numpy and ``local_model`` are imported
+only when the battery runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -21,9 +25,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import contact_kit, local_model, spinc_planner, topo_core
+from . import contact_kit, spinc_planner, topo_core
 from .contact_kit import LegendrianState
 from .spinc_planner import ConfigurationGraph, SurfaceSpec
 from .topo_core import SymmetricForm
@@ -31,6 +33,8 @@ from .topo_core import SymmetricForm
 DEFAULT_SEED = 20060401
 MIN_GRID = 2  # the immersion grid spans [0, 1] x [0, rho_max] only from two lines per axis
 DEFAULT_SAMPLES = 2000
+# the difference step of the battery's local_model.contact_positivity
+POSITIVITY_STEP = 1e-6
 
 # the options that tune the local model, each with its JSON and flag type;
 # an option's default is the ManifoldInput field of the same name
@@ -43,17 +47,41 @@ _OPTIONS = (
 )
 
 
+def __getattr__(name):
+    # the numerical module as an attribute, imported on first access like
+    # the package's own
+    if name == "local_model":
+        return importlib.import_module(f"{__package__}.local_model")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _strict(value):
+    """``value`` with every non-finite float written as the string "nan",
+    "inf" or "-inf": strict JSON (RFC 8259) has no NaN or Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    return value
+
+
 def _json_default(obj):
     """The numpy values json cannot write.  np.float64 is a float subclass,
-    which json writes by float.__repr__ without calling this."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    which json writes by float.__repr__ without calling this.  A numpy value
+    exists only once numpy is loaded, so numpy is taken from sys.modules
+    rather than imported."""
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -80,7 +108,7 @@ def _check_options(tolerance: float, grid: int, seed: int, eps: float, delta: fl
             raise CertifyError(name, f"must be finite and > 0, got {value}")
     # the profiles live on [0, eps^2/2], and contact_positivity differences
     # them at rho +- h, so that interval must hold 2h
-    rho_max, least = eps * eps / 2, 2 * local_model.POSITIVITY_STEP
+    rho_max, least = eps * eps / 2, 2 * POSITIVITY_STEP
     if not least <= rho_max < math.inf:
         raise CertifyError("profile_eps", f"eps^2/2 must be finite and >= {least}, got eps = {eps}")
 
@@ -279,12 +307,19 @@ class ConstructionCertificate:
         return all(c.passed for c in self.clauses)
 
     def to_json(self) -> str:
-        # vars() holds exactly the dataclass fields
+        # vars() holds exactly the dataclass fields; only the battery's values
+        # can be non-finite
         doc = vars(self) | {
             "passed": self.passed,
-            "clauses": [vars(c) | {"passed": bool(c.passed)} for c in self.clauses],
+            "local_checks": _strict(self.local_checks),
+            "clauses": [
+                vars(c) | {"passed": bool(c.passed), "value": _strict(c.value)}
+                for c in self.clauses
+            ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+        return json.dumps(
+            doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default
+        ) + "\n"
 
     def report(self) -> str:
         lines = ["construction certificate", "=" * 24]
@@ -330,7 +365,7 @@ def emit_certificate(cert: ConstructionCertificate, out_base: str | Path) -> lis
 _SAMPLE_BLOCK = 256
 
 
-def _pointwise_maxima(pts: np.ndarray) -> tuple[float, float, float, float, float]:
+def _pointwise_maxima(pts) -> tuple[float, float, float, float, float]:
     """Largest deviations of J^2 = -I, J-invariance, self-duality, the Honda
     form and omega^omega = 2 R^2 over the (T, x, y) samples ``pts``.
 
@@ -339,9 +374,14 @@ def _pointwise_maxima(pts: np.ndarray) -> tuple[float, float, float, float, floa
     for R >= eps', the smooth blend only in between), hodge_star_2form,
     honda_form and wedge_square.  Their outputs are collected in lists per
     block of _SAMPLE_BLOCK samples and turned into one array per block; each
-    identity is then checked on the whole block at once.
+    identity is then checked on the whole block at once.  The maxima are
+    folded with np.maximum, so a NaN deviation stays NaN.
     """
-    max_j2 = max_compat = max_star = max_honda = max_wedge = 0.0
+    import numpy as np
+
+    from . import local_model
+
+    maxima = np.zeros(5)
     for start in range(0, len(pts), _SAMPLE_BLOCK):
         block = pts[start:start + _SAMPLE_BLOCK]
         J, w, star, honda, wedge = [], [], [], [], []
@@ -357,14 +397,14 @@ def _pointwise_maxima(pts: np.ndarray) -> tuple[float, float, float, float, floa
         Wb = local_model.form_matrix(wb)
         T, x, y = block.T
         R2 = 4 * T * T + x * x + y * y
-        max_j2 = max(max_j2, float(np.abs(Jb @ Jb + np.eye(4)).max()))
-        max_compat = max(
-            max_compat, float(np.abs(Jb.transpose(0, 2, 1) @ Wb @ Jb - Wb).max())
-        )
-        max_star = max(max_star, float(np.abs(np.array(star) - wb).max()))
-        max_honda = max(max_honda, float(np.abs(np.array(honda) - wb).max()))
-        max_wedge = max(max_wedge, float(np.abs(np.array(wedge) - 2 * R2).max()))
-    return max_j2, max_compat, max_star, max_honda, max_wedge
+        maxima = np.maximum(maxima, [
+            np.abs(Jb @ Jb + np.eye(4)).max(),
+            np.abs(Jb.transpose(0, 2, 1) @ Wb @ Jb - Wb).max(),
+            np.abs(np.array(star) - wb).max(),
+            np.abs(np.array(honda) - wb).max(),
+            np.abs(np.array(wedge) - 2 * R2).max(),
+        ])
+    return tuple(maxima.tolist())
 
 
 def run_local_battery(
@@ -377,6 +417,10 @@ def run_local_battery(
 ) -> tuple[dict, list[CertClause]]:
     """Numerical checks of the local model; returns (summary, clauses)."""
     _check_options(tolerance, grid, seed, eps, delta)
+    import numpy as np
+
+    from . import local_model
+
     rng = np.random.default_rng(seed)
     P = local_model.ProfileCurve(eps=eps, delta=delta)
 
@@ -388,12 +432,16 @@ def run_local_battery(
     def omega_field(coords):
         return local_model.omega_near_Z(coords[0], coords[1], coords[2])
 
-    max_domega = 0.0
-    for T, x, y in pts[:20]:
-        res = local_model.d_omega_numeric(
+    def worst(*deviations) -> float:
+        # np.max, not Python's max, which drops a NaN after the first item
+        return float(np.max([np.abs(d).max() for d in deviations]))
+
+    max_domega = worst([0.0], *(
+        local_model.d_omega_numeric(
             omega_field, local_model.ChartPoint("cartesian", (T, x, y, 0.0)), 1e-3
         )
-        max_domega = max(max_domega, max(abs(v) for v in res))
+        for T, x, y in pts[:20]
+    ))
 
     min_det = local_model.phi_immersion_check(P, grid=grid, exclusion=0.05)
 
@@ -404,41 +452,29 @@ def run_local_battery(
     tf = 0.5 + rad * np.cos(ang)
     rf = np.abs(rad * np.sin(ang))
     uf, vf = P.phi(tf, rf)
-    fold_err = float(
-        max(
-            np.abs(uf - (rf - (tf - 0.5) ** 2 + 1 + P.delta)).max(),
-            np.abs(vf - (-2 * rf * (tf - 0.5))).max(),
-        )
-    )
+    fold_err = worst(uf - (rf - (tf - 0.5) ** 2 + 1 + P.delta), vf - (-2 * rf * (tf - 0.5)))
 
     # boundary patch residuals
     rho_w = rng.uniform(0, P.rho_max, 200)
     t_left = rng.uniform(0, P.T0, 200)
     u, v = P.phi(t_left, rho_w)
-    left_err = float(
-        max(np.abs(u - np.exp(t_left)).max(), np.abs(v - np.exp(t_left) * rho_w).max())
-    )
+    left_err = worst(u - np.exp(t_left), v - np.exp(t_left) * rho_w)
     t_right = rng.uniform(P.T3, 1.0, 200)
     g1, f1 = P.lutz_profile(rho_w)
     u, v = P.phi(t_right, rho_w)
-    right_err = float(
-        max(
-            np.abs(u - np.exp(t_right) * g1).max(),
-            np.abs(v - np.exp(t_right) * f1).max(),
-        )
-    )
+    right_err = worst(u - np.exp(t_right) * g1, v - np.exp(t_right) * f1)
     t_any = rng.uniform(0, 1, 200)
     rho_out = rng.uniform(P.RB1, P.rho_max, 200)
     u, v = P.phi(t_any, rho_out)
-    outer_err = float(
-        max(np.abs(u - np.exp(t_any)).max(), np.abs(v - np.exp(t_any) * rho_out).max())
-    )
+    outer_err = worst(u - np.exp(t_any), v - np.exp(t_any) * rho_out)
 
     pos_std = local_model.contact_positivity(
-        lambda r: local_model.contact_profile("standard", r, eps), P.rho_max, 2000
+        lambda r: local_model.contact_profile("standard", r, eps), P.rho_max, 2000,
+        h=POSITIVITY_STEP,
     )
     pos_lutz = local_model.contact_positivity(
-        lambda r: local_model.contact_profile("lutz", r, eps), P.rho_max, 2000
+        lambda r: local_model.contact_profile("lutz", r, eps), P.rho_max, 2000,
+        h=POSITIVITY_STEP,
     )
 
     summary = {
@@ -486,7 +522,7 @@ def run_local_battery(
         ),
         CertClause(
             "profile map is an orientation-preserving immersion off the fold",
-            min_det > 0, "computed", min_det, "> 0",
+            math.isfinite(min_det) and min_det > 0, "computed", min_det, "> 0",
             "Jacobian determinant positive outside exclusion radius 0.05",
         ),
         CertClause(
@@ -621,18 +657,19 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
         )
     else:
         plan = spinc_planner.plan_circles(d)
-    sched = local_model.level_schedule_check(plan)
+    sched = spinc_planner.level_schedule_check(plan)
+    levels = spinc_planner.circle_levels(plan)
     clauses.append(
         CertClause(
             "one circle per level, at midpoints", sched.passed, "computed",
-            [round(v, 12) for v in local_model.circle_levels(plan)], None,
+            [round(v, 12) for v in levels], None,
             "nested level spheres between radius 0.9 and 1",
         )
     )
     circle_plan = {
         "signs": list(plan.signs),
         "levels": list(plan.levels),
-        "circle_levels": list(local_model.circle_levels(plan)),
+        "circle_levels": list(levels),
     }
 
     # two-handle records -----------------------------------------------------
@@ -921,7 +958,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"[{status}] {c.name}: {c.value}")
             if args.out:
                 Path(args.out).write_text(
-                    json.dumps(summary, indent=2, sort_keys=True) + "\n"
+                    json.dumps(_strict(summary), indent=2, sort_keys=True, allow_nan=False)
+                    + "\n"
                 )
             print("overall:", "PASS" if ok else "FAIL")
             return 0 if ok else 1

@@ -24,8 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from .spinc_planner import CirclePlan, Clause, ConstraintReport
-
 CARTESIAN = "cartesian"
 CYLINDRICAL = "cylindrical"
 
@@ -427,17 +425,15 @@ def contact_profile(kind: str, rho: float, eps: float) -> tuple[float, float]:
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
-# the difference step of contact_positivity
-POSITIVITY_STEP = 1e-6
-
-
 def contact_positivity(
     profile: Callable[[float], tuple[float, float]],
     rho_max: float,
     samples: int = 10000,
-    h: float = POSITIVITY_STEP,
+    *,
+    h: float,
 ) -> float:
-    """Minimum of g f' - f g' over a uniform grid, by central differences."""
+    """Minimum of g f' - f g' over a uniform grid, by central differences of
+    step ``h`` (the battery's is ``certify_cli.POSITIVITY_STEP``)."""
     rho = np.linspace(0.0, rho_max, samples)
     rc = np.clip(rho, h, rho_max - h)
     # Python floats, not numpy scalars: the lutz profile evaluates them in
@@ -468,7 +464,8 @@ def phi_immersion_check(
 ) -> float:
     """Minimum Jacobian determinant u_t v_rho - u_rho v_t of phi, from
     ``ProfileCurve.phi_jet``, over the grid x grid points of [0, 1] x
-    [0, rho_max], excluding a disk around the fold point (1/2, 0)."""
+    [0, rho_max], excluding a disk around the fold point (1/2, 0); NaN if
+    the determinant is NaN at any of those points."""
     if exclusion <= 0:
         raise ValueError("exclusion radius must be positive")
     # t along axis 0 and rho along axis 1 as broadcast shapes (block, 1) and
@@ -476,14 +473,15 @@ def phi_immersion_check(
     # quadrature above all) is computed once per grid line, not per point
     t = np.linspace(0.0, 1.0, grid)[:, None]
     r = np.linspace(0.0, P.rho_max, grid)[None, :]
-    lowest = np.inf
+    block_minima = []
     for i in range(0, grid, _IMMERSION_BLOCK):
         tb = t[i:i + _IMMERSION_BLOCK]
         _, _, u_t, u_r, v_t, v_r = P.phi_jet(tb, r)
         det = u_t * v_r - u_r * v_t
         mask = (tb - 0.5) ** 2 + r**2 > exclusion**2
-        lowest = min(lowest, float(np.where(mask, det, np.inf).min()))
-    return lowest
+        block_minima.append(np.where(mask, det, np.inf).min())
+    # np.min, not Python's min: a NaN block minimum stays NaN
+    return float(np.min(block_minima))
 
 
 # ---------------------------------------------------------------------------
@@ -632,34 +630,3 @@ def d_omega_numeric(
         val = partial(a, (b, c)) - partial(b, (a, c)) + partial(c, (a, b))
         out.append(val)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# level schedules
-# ---------------------------------------------------------------------------
-
-
-def circle_levels(plan: CirclePlan) -> tuple[float, ...]:
-    """Midpoints of the level intervals: where the circles actually sit."""
-    return tuple(
-        0.5 * (a + b) for a, b in zip(plan.levels, plan.levels[1:])
-    )
-
-
-def level_schedule_check(plan: CirclePlan) -> ConstraintReport:
-    """One circle per level interval, each at the interval midpoint, with
-    the prescribed linking sign."""
-    clauses: list[Clause] = []
-    mids = circle_levels(plan)
-    for i, (sign, mid) in enumerate(zip(plan.signs, mids)):
-        lo, hi = plan.levels[i], plan.levels[i + 1]
-        clauses.append(
-            Clause(
-                f"circle {i + 1} at midpoint of ({lo:.6g}, {hi:.6g})",
-                lo < mid < hi and abs(mid - 0.5 * (lo + hi)) < 1e-12,
-                mid,
-                0.5 * (lo + hi),
-            )
-        )
-        clauses.append(Clause(f"circle {i + 1} linking sign", sign in (-1, 1), sign))
-    return ConstraintReport(clauses=tuple(clauses))

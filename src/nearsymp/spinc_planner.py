@@ -207,6 +207,32 @@ def custom_circle_plan(signs: Sequence[int]) -> CirclePlan:
     return CirclePlan(signs=signs, levels=_uniform_levels(len(signs)), d=sum(signs))
 
 
+def circle_levels(plan: CirclePlan) -> tuple[float, ...]:
+    """Midpoints of the level intervals: where the circles actually sit."""
+    return tuple(
+        0.5 * (a + b) for a, b in zip(plan.levels, plan.levels[1:])
+    )
+
+
+def level_schedule_check(plan: CirclePlan) -> ConstraintReport:
+    """One circle per level interval, each at the interval midpoint, with
+    the prescribed linking sign."""
+    clauses: list[Clause] = []
+    mids = circle_levels(plan)
+    for i, (sign, mid) in enumerate(zip(plan.signs, mids)):
+        lo, hi = plan.levels[i], plan.levels[i + 1]
+        clauses.append(
+            Clause(
+                f"circle {i + 1} at midpoint of ({lo:.6g}, {hi:.6g})",
+                lo < mid < hi and abs(mid - 0.5 * (lo + hi)) < 1e-12,
+                mid,
+                0.5 * (lo + hi),
+            )
+        )
+        clauses.append(Clause(f"circle {i + 1} linking sign", sign in (-1, 1), sign))
+    return ConstraintReport(clauses=tuple(clauses))
+
+
 def e_decomposition(g: int, m: int) -> tuple[int, int, int, int, int]:
     """Handle counts per index of the standard capping piece: one 0-handle,
     2g + m - 1 one-handles and m two-handles, each framed +1."""

@@ -2,8 +2,12 @@
 determinism, abort behavior, and the utility subcommands."""
 
 import dataclasses
+import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,7 @@ from oracles import certificate_json_reference, pointwise_identities_loop
 
 FIXTURES = ["three_cp2.json", "circle_times_y.json"]
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +254,66 @@ def test_exact_certificate_bytes_are_pinned(path):
     cert = certify(parse_input(path), run_battery=False)
     assert cert.to_json() == (DATA / f"{path.stem}.exact.json").read_text()
     assert cert.report() == (DATA / f"{path.stem}.exact.txt").read_text()
+
+
+# run in a fresh interpreter in which every import of numpy raises
+# ImportError; argv[1] is the directory of the pins, the rest are inputs
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from pathlib import Path
+from nearsymp.certify_cli import certify, main, parse_input
+
+data = Path(sys.argv[1])
+for path in map(Path, sys.argv[2:]):
+    cert = certify(parse_input(path), run_battery=False)
+    assert cert.to_json() == (data / f"{path.stem}.exact.json").read_text(), path
+    assert cert.report() == (data / f"{path.stem}.exact.txt").read_text(), path
+for argv in (
+    ["signature", "[[0,1],[1,0]]"],
+    ["plan-circles", "-d", "3"],
+    ["stabilize", "--from-tb", "-1", "--from-rot", "0", "--to-tb", "-5", "--to-rot", "2"],
+    ["obstruction", "--elliptic", "2", "--hyperbolic", "1"],
+):
+    assert main(argv) == 0, argv
+assert "nearsymp.local_model" not in sys.modules
+"""
+
+
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+
+
+def test_exact_layer_runs_without_numpy():
+    inputs = [fixture_path(name) for name in FIXTURES] + [DATA / "b2_48.json"]
+    done = _run_python(_WITHOUT_NUMPY, str(DATA), *map(str, inputs))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0", "(-1,+1,+1,+1,+1)", "p=3 q=1 r=0 s=0", "1"]
+
+
+def test_importing_the_cli_loads_no_numpy():
+    code = (
+        "import sys, nearsymp.certify_cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy' "
+        "or m == 'nearsymp.local_model'))"
+    )
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_local_model_is_an_attribute_of_the_package_and_the_cli():
+    import nearsymp
+
+    local_model = importlib.import_module("nearsymp.local_model")
+    assert nearsymp.local_model is local_model
+    assert certify_cli.local_model is local_model
+    for module in (nearsymp, certify_cli):
+        with pytest.raises(AttributeError):
+            module.no_such_module
 
 
 def test_to_json_matches_the_recursive_copy(three_cp2):
@@ -558,17 +623,133 @@ def test_cli_smallest_usable_profile_eps_gives_a_certificate(capsys):
     assert captured.err == ""
 
 
-def test_cli_huge_profile_eps_fails_positivity_without_traceback(capsys):
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_huge_profile_eps_fails_positivity_without_traceback(tmp_path, capsys):
     # eps^2/2 = 5e199 is finite, so the option is usable; rho^2 overflows to
     # inf in the profiles, the positivity clause fails, and the exit code is
-    # 1 rather than an OverflowError traceback
-    argv = ["certify", str(fixture_path("three_cp2.json")), "--grid", "20", "--profile-eps", "1e100"]
+    # 1 rather than an OverflowError traceback.  The profile map's jet is
+    # NaN, so its minimum determinant is NaN, not inf, and the immersion
+    # clause fails too; the certificate writes the non-finite values as
+    # strings
+    out = tmp_path / "cert"
+    argv = ["certify", str(fixture_path("three_cp2.json")), "--grid", "20",
+            "--profile-eps", "1e100", "--out", str(out)]
     with np.errstate(all="ignore"):
         assert main(argv) == 1
     captured = capsys.readouterr()
     assert "[FAIL] contact positivity of both profiles" in captured.out
+    assert (
+        "[FAIL] profile map is an orientation-preserving immersion off the fold: nan vs > 0"
+        in captured.out
+    )
     assert "overall: FAIL" in captured.out
     assert "Traceback" not in captured.err
+    cert = _strict_json((tmp_path / "cert.json").read_text())
+    assert cert["passed"] is False
+    checks = cert["local_checks"]
+    assert checks["min_jacobian_det"] == "nan"
+    assert checks["contact_positivity_lutz"] == "nan"
+    assert checks["patch_error_twisted"] == "nan"
+    clauses = {c["name"]: c for c in cert["clauses"]}
+    immersion = clauses["profile map is an orientation-preserving immersion off the fold"]
+    assert immersion["passed"] is False and immersion["value"] == "nan"
+    assert clauses["contact positivity of both profiles"]["value"] == [0.0, "nan"]
+
+
+def test_cli_local_check_writes_strict_json(tmp_path, capsys):
+    out = tmp_path / "battery.json"
+    with np.errstate(all="ignore"):
+        code = main(["local-check", "--grid", "20", "--profile-eps", "1e100", "--out", str(out)])
+    assert code == 1
+    assert "[FAIL] profile map is an orientation-preserving immersion" in capsys.readouterr().out
+    summary = _strict_json(out.read_text())
+    assert summary["min_jacobian_det"] == "nan"
+
+
+@pytest.mark.parametrize("value, want", [
+    (1.5, 1.5),
+    (math.nan, "nan"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+    (np.float64(-math.inf), "-inf"),
+    ({"a": (math.nan, 2, [math.inf])}, {"a": ["nan", 2, ["inf"]]}),
+])
+def test_strict_writes_non_finite_floats_as_strings(value, want):
+    assert certify_cli._strict(value) == want
+
+
+@pytest.mark.parametrize("at", [0, 255, 256, 299])
+def test_pointwise_maxima_keep_a_nan(monkeypatch, at):
+    # Python's max(prev, nan) keeps prev: a NaN deviation in any sample,
+    # whichever block it falls in, must reach the summary and fail its clause
+    from nearsymp import local_model
+
+    calls = []
+    wedge_square = local_model.wedge_square
+
+    def nan_once(form):
+        calls.append(None)
+        return math.nan if len(calls) == at + 1 else wedge_square(form)
+
+    monkeypatch.setattr(local_model, "wedge_square", nan_once)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(300, 3))
+    maxima = certify_cli._pointwise_maxima(pts)
+    assert math.isnan(maxima[4])
+    assert all(0 <= v <= 1e-12 for v in maxima[:4])
+
+
+def test_battery_residuals_keep_a_nan(monkeypatch):
+    # a NaN in the second component of a residual, where Python's max(x, nan)
+    # kept x: the closedness check's second sample and the twisted wall's f1
+    from nearsymp import local_model
+
+    calls = []
+    d_omega_numeric = local_model.d_omega_numeric
+
+    def nan_at_second_call(*args):
+        calls.append(None)
+        res = d_omega_numeric(*args)
+        return (res[0], math.nan, *res[2:]) if len(calls) == 2 else res
+
+    lutz_profile = local_model.ProfileCurve.lutz_profile
+
+    def nan_first_f1(self, rho):
+        g1, f1 = lutz_profile(self, rho)
+        f1 = np.array(f1)
+        f1.flat[0] = np.nan
+        return g1, f1
+
+    monkeypatch.setattr(local_model, "d_omega_numeric", nan_at_second_call)
+    monkeypatch.setattr(local_model.ProfileCurve, "lutz_profile", nan_first_f1)
+    summary, clauses = run_local_battery(
+        seed=11, grid=2, tolerance=1e-9, eps=1.0, delta=0.2, samples=20
+    )
+    assert math.isnan(summary["max_d_omega_residual"])
+    assert math.isnan(summary["patch_error_twisted"])
+    failed = {c.name for c in clauses if not c.passed}
+    assert "model form is closed (finite differences)" in failed
+    assert "twisted patch at t = 1" in failed
+
+
+@pytest.mark.parametrize("min_det", [math.inf, math.nan])
+def test_immersion_clause_needs_a_finite_minimum(monkeypatch, min_det):
+    # the parent read an inf minimum (every block minimum NaN) as a PASS
+    from nearsymp import local_model
+
+    monkeypatch.setattr(local_model, "phi_immersion_check", lambda *a, **k: min_det)
+    _, clauses = run_local_battery(
+        seed=11, grid=2, tolerance=1e-9, eps=1.0, delta=0.2, samples=1
+    )
+    immersion = {c.name: c for c in clauses}[
+        "profile map is an orientation-preserving immersion off the fold"
+    ]
+    assert immersion.passed is False
 
 
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])

@@ -1,5 +1,5 @@
 """Numerical local model: profile curves, the assembled two-parameter map,
-the model 2-form, compatibility, Hodge stars, and level schedules."""
+the model 2-form, compatibility and Hodge stars."""
 
 import dataclasses
 import math
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from nearsymp.certify_cli import POSITIVITY_STEP
 from nearsymp.local_model import (
     CARTESIAN,
     CYLINDRICAL,
@@ -16,7 +17,6 @@ from nearsymp.local_model import (
     Metric4,
     ProfileCurve,
     TwoForm,
-    circle_levels,
     contact_positivity,
     contact_profile,
     d_omega_numeric,
@@ -24,7 +24,6 @@ from nearsymp.local_model import (
     hodge_star_2form,
     honda_form,
     J_near,
-    level_schedule_check,
     lutz_form,
     metric_g,
     omega_near_Z,
@@ -33,7 +32,6 @@ from nearsymp.local_model import (
     smooth_step_d,
     wedge_square,
 )
-from nearsymp.spinc_planner import plan_circles
 
 from oracles import (
     J_near_reference,
@@ -212,18 +210,18 @@ def test_lutz_point_matches_lutz_profile(eps):
 
 
 def test_contact_positivity_linear_profile():
-    val = contact_positivity(lambda r: (r, 1.0), 0.5, samples=500)
+    val = contact_positivity(lambda r: (r, 1.0), 0.5, samples=500, h=POSITIVITY_STEP)
     assert abs(val - 1.0) < 1e-9
 
 
 def test_contact_positivity_flags_constant_profile():
-    val = contact_positivity(lambda r: (0.0, 1.0), 0.5, samples=500)
+    val = contact_positivity(lambda r: (0.0, 1.0), 0.5, samples=500, h=POSITIVITY_STEP)
     assert abs(val) < 1e-9
 
 
 def test_contact_positivity_twisted_profile():
     val = contact_positivity(
-        lambda r: contact_profile("lutz", r, 1.0), 0.5, samples=2000
+        lambda r: contact_profile("lutz", r, 1.0), 0.5, samples=2000, h=POSITIVITY_STEP
     )
     assert val > 0
 
@@ -261,6 +259,26 @@ def test_phi_immersion_on_coarse_grid():
 def test_phi_immersion_rejects_bad_exclusion():
     with pytest.raises(ValueError):
         phi_immersion_check(P, exclusion=0.0)
+
+
+def _nan_row_curve(nan_t: float) -> ProfileCurve:
+    """The profile curve with a NaN jet on the grid line t = nan_t."""
+
+    class NaNRowCurve(ProfileCurve):
+        def phi_jet(self, t, rho):
+            jet = super().phi_jet(t, rho)
+            return tuple(np.where(np.asarray(t) == nan_t, np.nan, part) for part in jet)
+
+    return NaNRowCurve()
+
+
+@pytest.mark.parametrize("row", [0, 100, 129])
+def test_phi_immersion_check_keeps_a_nan(row):
+    # grid 130 makes blocks of 64, 64 and 2 rows: a NaN in the first, the
+    # middle and the last block must all reach the minimum, which Python's
+    # min(lowest, nan) dropped
+    curve = _nan_row_curve(float(np.linspace(0.0, 1.0, 130)[row]))
+    assert math.isnan(phi_immersion_check(curve, grid=130))
 
 
 def test_min_jacobian_det_at_grid_200():
@@ -636,27 +654,3 @@ def test_form_coefficients_vanish_linearly_toward_circle():
     base = omega_near_Z(0.02, 0.04, -0.06)
     half = omega_near_Z(0.01, 0.02, -0.03)
     assert np.allclose(np.array(base.components), 2 * np.array(half.components))
-
-
-# ---------------------------------------------------------------------------
-# level schedules
-# ---------------------------------------------------------------------------
-
-
-def test_circle_levels_for_cancelling_pair():
-    mids = circle_levels(plan_circles(0))
-    assert max(abs(a - b) for a, b in zip(mids, (0.925, 0.975))) < 1e-12
-
-
-def test_level_schedule_check_passes():
-    assert level_schedule_check(plan_circles(0)).passed
-    plan = plan_circles(-2)
-    assert plan.signs == (-1, -1)
-    assert level_schedule_check(plan).passed
-
-
-def test_level_schedule_vacuous_for_empty_plan():
-    from nearsymp.spinc_planner import CirclePlan
-
-    empty = CirclePlan(signs=(), levels=(), d=0)
-    assert level_schedule_check(empty).passed

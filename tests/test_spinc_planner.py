@@ -1,5 +1,6 @@
-"""Planning layer: adjunction targets, circle plans, genus bookkeeping,
-configuration builders and cocycle selection."""
+"""Planning layer: adjunction targets, circle plans and their level
+schedules, genus bookkeeping, configuration builders and cocycle
+selection."""
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from nearsymp.spinc_planner import (
     cap_corollary_config,
     check_spinc_constraints,
     choose_cocycle,
+    circle_levels,
     compute_d,
     custom_circle_plan,
     e_decomposition,
+    level_schedule_check,
     noextragenus_case,
     plan_circles,
     plumbing_form,
@@ -156,6 +159,23 @@ def test_custom_circle_plan_rejects_bad_entry():
 def test_circle_plan_rejects_inconsistent_sum():
     with pytest.raises(ValueError):
         CirclePlan(signs=(-1, 1), levels=(0.9, 0.95, 1.0), d=5)
+
+
+def test_circle_levels_for_cancelling_pair():
+    mids = circle_levels(plan_circles(0))
+    assert max(abs(a - b) for a, b in zip(mids, (0.925, 0.975))) < 1e-12
+
+
+def test_level_schedule_check_passes():
+    assert level_schedule_check(plan_circles(0)).passed
+    plan = plan_circles(-2)
+    assert plan.signs == (-1, -1)
+    assert level_schedule_check(plan).passed
+
+
+def test_level_schedule_vacuous_for_empty_plan():
+    empty = CirclePlan(signs=(), levels=(), d=0)
+    assert level_schedule_check(empty).passed
 
 
 # ---------------------------------------------------------------------------
