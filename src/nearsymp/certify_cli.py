@@ -67,24 +67,6 @@ def _strict(value):
     return value
 
 
-def _json_default(obj):
-    """The numpy values json cannot write.  np.float64 is a float subclass,
-    which json writes by float.__repr__ without calling this.  A numpy value
-    exists only once numpy is loaded, so numpy is taken from sys.modules
-    rather than imported."""
-    np = sys.modules.get("numpy")
-    if np is not None:
-        if isinstance(obj, np.bool_):
-            return bool(obj)
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 class CertifyError(Exception):
     """A hard precondition failure; carries the failing clause name."""
 
@@ -317,9 +299,7 @@ class ConstructionCertificate:
                 for c in self.clauses
             ],
         }
-        return json.dumps(
-            doc, indent=2, sort_keys=True, allow_nan=False, default=_json_default
-        ) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def report(self) -> str:
         lines = ["construction certificate", "=" * 24]
@@ -388,10 +368,10 @@ def _pointwise_maxima(pts) -> tuple[float, float, float, float, float]:
         for T, x, y in block.tolist():
             J.append(local_model.J_near(T, x, y))
             form = local_model.omega_near_Z(T, x, y)
-            g = local_model.metric_g(T, x, y, 0.5)
-            star.append(local_model.hodge_star_2form(g, 1, form).components)
-            honda.append(local_model.honda_form(T, x, y).components)
-            w.append(form.components)
+            factor = local_model.metric_g(T, x, y, 0.5)
+            star.append(local_model.hodge_star_2form(factor, 1, form))
+            honda.append(local_model.honda_form(T, x, y))
+            w.append(form)
             wedge.append(local_model.wedge_square(form))
         Jb, wb = np.array(J), np.array(w)
         Wb = local_model.form_matrix(wb)
@@ -417,9 +397,14 @@ def run_local_battery(
 ) -> tuple[dict, list[CertClause]]:
     """Numerical checks of the local model; returns (summary, clauses)."""
     _check_options(tolerance, grid, seed, eps, delta)
-    import numpy as np
+    try:
+        import numpy as np
 
-    from . import local_model
+        from . import local_model
+    except ImportError as exc:
+        raise CertifyError(
+            "local-model battery", f"needs numpy, which failed to import: {exc}"
+        ) from None
 
     rng = np.random.default_rng(seed)
     P = local_model.ProfileCurve(eps=eps, delta=delta)
@@ -522,7 +507,7 @@ def run_local_battery(
         ),
         CertClause(
             "profile map is an orientation-preserving immersion off the fold",
-            math.isfinite(min_det) and min_det > 0, "computed", min_det, "> 0",
+            0 < min_det < math.inf, "computed", min_det, "> 0",
             "Jacobian determinant positive outside exclusion radius 0.05",
         ),
         CertClause(
@@ -544,7 +529,7 @@ def run_local_battery(
         ),
         CertClause(
             "contact positivity of both profiles",
-            pos_std > 0 and pos_lutz > 0, "computed",
+            0 < pos_std < math.inf and 0 < pos_lutz < math.inf, "computed",
             [pos_std, pos_lutz], "> 0", "g f' - f g' > 0",
         ),
     ]
@@ -726,8 +711,7 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
     for sign in plan.signs:
         lk = sign
         h = contact_kit.obstruction_from_lk(lk)
-        rec = contact_kit.theta_from_h(h)
-        per_circle.append({"lk": lk, "h": h, "theta_times_2": rec.theta_times_2})
+        per_circle.append({"lk": lk, "h": h, "theta_times_2": contact_kit.theta_from_h(h)})
     residual = contact_kit.total_obstruction(plan.signs, d)
     sum_h = sum(r["h"] for r in per_circle)
     obstructions = {
@@ -964,10 +948,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("overall:", "PASS" if ok else "FAIL")
             return 0 if ok else 1
 
-    except CertifyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CertifyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -84,18 +84,6 @@ class StabilizationPlan:
         return state
 
 
-@dataclass(frozen=True)
-class ObstructionRecord:
-    """Ball-extension obstruction h with theta = -h - 1/2 kept exact."""
-
-    h: int
-    theta_times_2: int
-
-    def __post_init__(self):
-        if self.theta_times_2 != -2 * self.h - 1:
-            raise ValueError("theta must equal -h - 1/2")
-
-
 def connect_sum(a: LegendrianState, b: LegendrianState) -> LegendrianState:
     """tb adds plus one; rotation numbers add."""
     return LegendrianState(tb=a.tb + b.tb + 1, rot=a.rot + b.rot)
@@ -153,8 +141,10 @@ def obstruction_from_lk(lk: int) -> int:
     return lk
 
 
-def theta_from_h(h: int) -> ObstructionRecord:
-    return ObstructionRecord(h=h, theta_times_2=-2 * h - 1)
+def theta_from_h(h: int) -> int:
+    """Twice theta = -h - 1/2 for the ball-extension obstruction h, so that
+    it stays an integer."""
+    return -2 * h - 1
 
 
 def total_obstruction(signs: Sequence[int], d: int) -> int:

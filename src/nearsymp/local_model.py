@@ -11,8 +11,9 @@ The cylindrical chart is (t, rho, mu, lam) with rho >= 0 and 2-form basis
 
     dt^drho, dt^dmu, dt^dlam, drho^dmu, drho^dlam, dmu^dlam.
 
-All fields are independent of lam (and of mu in the cylindrical chart); the
-angles enter only through the form bases.
+A 2-form is a tuple of its six float components in the ordered basis of
+its chart.  All fields are independent of lam (and of mu in the cylindrical
+chart); the angles enter only through the form bases.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ CYLINDRICAL = "cylindrical"
 # coordinates numbered 0..3 in chart order
 _BASIS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_ROWS, _PAIR_COLS = (list(v) for v in zip(*_BASIS_PAIRS))
+
+Form = tuple[float, float, float, float, float, float]
 
 
 # ---------------------------------------------------------------------------
@@ -69,40 +72,6 @@ def form_matrix(components) -> np.ndarray:
     W[..., _PAIR_ROWS, _PAIR_COLS] = c
     W[..., _PAIR_COLS, _PAIR_ROWS] = -c
     return W
-
-
-@dataclass(frozen=True, slots=True)
-class TwoForm:
-    """Six components in the ordered 2-form basis of the tagged chart."""
-
-    components: tuple[float, ...]
-    basis: str = CARTESIAN
-
-    def __post_init__(self):
-        comps = tuple(map(float, self.components))
-        if len(comps) != 6:
-            raise ValueError("a 2-form has six components")
-        if self.basis not in (CARTESIAN, CYLINDRICAL):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        object.__setattr__(self, "components", comps)
-
-
-@dataclass(frozen=True, slots=True)
-class Metric4:
-    """The conformal metric factor * g0, g0 the flat metric of the chart.
-
-    Every metric of the local model is a conformal multiple of g0, so the
-    single factor is the whole metric; it is positive definite exactly when
-    factor > 0.
-    """
-
-    factor: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "factor", float(self.factor))
-
-    def is_positive_definite(self) -> bool:
-        return self.factor > 0
 
 
 # ---------------------------------------------------------------------------
@@ -489,34 +458,28 @@ def phi_immersion_check(
 # ---------------------------------------------------------------------------
 
 
-def lutz_form(pt: ChartPoint, P: ProfileCurve) -> TwoForm:
+def lutz_form(pt: ChartPoint, P: ProfileCurve) -> Form:
     """d(alpha) for alpha = f dt-free primitive f dmu + g dlam, in the
-    cylindrical basis: f_t dt^dmu + f_rho drho^dmu + g_t dt^dlam +
-    g_rho drho^dlam."""
+    cylindrical basis (dt^drho, dt^dmu, dt^dlam, drho^dmu, drho^dlam,
+    dmu^dlam): f_t dt^dmu + f_rho drho^dmu + g_t dt^dlam + g_rho drho^dlam."""
     if pt.chart != CYLINDRICAL:
         raise ValueError("lutz_form expects a cylindrical chart point")
     t, rho = pt.coords[0], pt.coords[1]
     if not 0 <= t <= 1 or not 0 <= rho <= P.rho_max:
         raise ValueError("point outside the model domain")
     _, _, gt, gr, ft, fr = P.phi_jet(t, rho)
-    return TwoForm(
-        (0.0, float(ft), float(gt), float(fr), float(gr), 0.0), CYLINDRICAL
-    )
+    return (0.0, float(ft), float(gt), float(fr), float(gr), 0.0)
 
 
-def omega_near_Z(T: float, x: float, y: float) -> TwoForm:
+def omega_near_Z(T: float, x: float, y: float) -> Form:
     """y A - x B - 2T C with A = dT^dx + dy^dlam, B = dT^dy - dx^dlam,
     C = dx^dy + dT^dlam."""
-    return TwoForm(
-        (y, -x, -2.0 * T, -2.0 * T, x, y),
-        CARTESIAN,
-    )
+    return (y, -x, -2.0 * T, -2.0 * T, x, y)
 
 
-def wedge_square(w: TwoForm) -> float:
+def wedge_square(w: Form) -> float:
     """Coefficient of the volume form in w ^ w."""
-    c = w.components
-    return 2.0 * (c[0] * c[5] - c[1] * c[4] + c[2] * c[3])
+    return 2.0 * (w[0] * w[5] - w[1] * w[4] + w[2] * w[3])
 
 
 # ---------------------------------------------------------------------------
@@ -524,27 +487,26 @@ def wedge_square(w: TwoForm) -> float:
 # ---------------------------------------------------------------------------
 
 
-def J_near(T: float, x: float, y: float) -> np.ndarray:
-    """(1/R) Q with R = sqrt(4T^2 + x^2 + y^2); undefined on the circle."""
+def J_near(T: float, x: float, y: float) -> tuple[tuple[float, ...], ...]:
+    """(1/R) Q with R = sqrt(4T^2 + x^2 + y^2), as four rows; undefined on
+    the circle."""
     R = math.sqrt(4.0 * T * T + x * x + y * y)
     if R == 0.0:
         raise ValueError("J is undefined on the zero circle (R = 0)")
     # each entry of Q divided by R once: IEEE division commutes with
     # negation, so these are the entries of Q / R bit for bit
     a, b, c = x / R, y / R, 2.0 * T / R
-    return np.array(
-        [
-            [0.0, -b, a, c],
-            [b, 0.0, c, -a],
-            [-a, -c, 0.0, -b],
-            [-c, a, b, 0.0],
-        ]
+    return (
+        (0.0, -b, a, c),
+        (b, 0.0, c, -a),
+        (-a, -c, 0.0, -b),
+        (-c, a, b, 0.0),
     )
 
 
-def metric_g(T: float, x: float, y: float, eps_prime: float) -> Metric4:
-    """Conformal metric f(R) g0 with R = sqrt(4T^2 + x^2 + y^2) and the
-    piecewise factor
+def metric_g(T: float, x: float, y: float, eps_prime: float) -> float:
+    """The factor f(R) of the conformal metric f(R) g0, g0 the flat metric
+    of the chart, with R = sqrt(4T^2 + x^2 + y^2) and
 
         f = 1                    for R <= eps'/2,
         f = (1 - s) + s R        for eps'/2 < R < eps', s = smooth_step of
@@ -558,14 +520,14 @@ def metric_g(T: float, x: float, y: float, eps_prime: float) -> Metric4:
     R = math.sqrt(4.0 * T * T + x * x + y * y)
     half = eps_prime / 2.0
     if R <= half:
-        return Metric4(1.0)
+        return 1.0
     if R >= eps_prime:
-        return Metric4(R)
+        return R
     s = float(smooth_step((R - half) / half))
-    return Metric4((1.0 - s) + s * R)
+    return (1.0 - s) + s * R
 
 
-def hodge_star_2form(g: Metric4, orientation: int, w: TwoForm) -> TwoForm:
+def hodge_star_2form(factor: float, orientation: int, w: Form) -> Form:
     """Hodge star on 2-forms for the metric factor * g0 and the given
     orientation (+1 is the chart orientation).
 
@@ -575,14 +537,16 @@ def hodge_star_2form(g: Metric4, orientation: int, w: TwoForm) -> TwoForm:
     """
     if orientation not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
-    if not g.is_positive_definite():
+    # factor * g0 is positive definite exactly when factor > 0, which a NaN
+    # factor is not
+    if not factor > 0:
         raise ValueError("degenerate or indefinite metric")
-    c0, c1, c2, c3, c4, c5 = w.components
+    c0, c1, c2, c3, c4, c5 = w
     o = orientation
-    return TwoForm((o * c5, o * -c4, o * c3, o * c2, o * -c1, o * c0), w.basis)
+    return (o * c5, o * -c4, o * c3, o * c2, o * -c1, o * c0)
 
 
-def honda_form(T: float, x: float, y: float) -> TwoForm:
+def honda_form(T: float, x: float, y: float) -> Form:
     """dlam ^ dh + star3(dh) for h = -x^2/2 - y^2/2 + T^2, with the
     3-dimensional star taken for dy^2 + dx^2 + dT^2 and orientation (y, x, T)."""
     hT, hx, hy = 2.0 * T, -x, -y
@@ -592,7 +556,7 @@ def honda_form(T: float, x: float, y: float) -> TwoForm:
     # star3 dx = dT^dy, star3 dT = dy^dx, so for dh = hT dT + hx dx + hy dy
     # star3 dh = -hy dT^dx + hx dT^dy - hT dx^dy
     #          = (-hy, hx, 0, -hT, 0, 0)
-    return TwoForm((-hy, hx, -hT, -hT, -hx, -hy), CARTESIAN)
+    return (-hy, hx, -hT, -hT, -hx, -hy)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +568,7 @@ _PAIR_INDEX = {p: i for i, p in enumerate(_BASIS_PAIRS)}
 
 
 def d_omega_numeric(
-    field_fn: Callable[[tuple[float, float, float, float]], TwoForm],
+    field_fn: Callable[[tuple[float, float, float, float]], Form],
     pt: ChartPoint,
     h: float,
 ) -> tuple[float, float, float, float]:
@@ -615,8 +579,7 @@ def d_omega_numeric(
     base = list(pt.coords)
 
     def comp(coords, a, b):
-        w = field_fn(tuple(coords))
-        return w.components[_PAIR_INDEX[(a, b)]]
+        return field_fn(tuple(coords))[_PAIR_INDEX[(a, b)]]
 
     def partial(a, bc):
         plus = list(base)

@@ -407,20 +407,16 @@ def pointwise_identities_loop(seed: int, samples: int) -> dict:
     max_j2 = max_compat = max_star = max_honda = max_wedge = 0.0
     I4 = np.eye(4)
     for T, x, y in pts:
-        J = local_model.J_near(T, x, y)
+        J = np.array(local_model.J_near(T, x, y))
         max_j2 = max(max_j2, float(np.abs(J @ J + I4).max()))
         w = local_model.omega_near_Z(T, x, y)
-        W = form_matrix_loop(w.components)
+        W = form_matrix_loop(w)
         max_compat = max(max_compat, float(np.abs(J.T @ W @ J - W).max()))
-        g = local_model.metric_g(T, x, y, 0.5)
-        st = local_model.hodge_star_2form(g, 1, w)
-        max_star = max(
-            max_star, max(abs(a - b) for a, b in zip(st.components, w.components))
-        )
+        factor = local_model.metric_g(T, x, y, 0.5)
+        st = local_model.hodge_star_2form(factor, 1, w)
+        max_star = max(max_star, max(abs(a - b) for a, b in zip(st, w)))
         hf = local_model.honda_form(T, x, y)
-        max_honda = max(
-            max_honda, max(abs(a - b) for a, b in zip(hf.components, w.components))
-        )
+        max_honda = max(max_honda, max(abs(a - b) for a, b in zip(hf, w)))
         R2 = 4 * T * T + x * x + y * y
         max_wedge = max(max_wedge, abs(local_model.wedge_square(w) - 2 * R2))
     return {

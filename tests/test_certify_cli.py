@@ -1,8 +1,10 @@
 """End-to-end pipeline and command line: input parsing, certification,
 determinism, abort behavior, and the utility subcommands."""
 
+import contextlib
 import dataclasses
 import importlib
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nearsymp import certify_cli
@@ -259,7 +261,7 @@ def test_exact_certificate_bytes_are_pinned(path):
 # run in a fresh interpreter in which every import of numpy raises
 # ImportError; argv[1] is the directory of the pins, the rest are inputs
 _WITHOUT_NUMPY = """
-import sys
+import contextlib, io, sys
 sys.modules["numpy"] = None
 from pathlib import Path
 from nearsymp.certify_cli import certify, main, parse_input
@@ -277,6 +279,14 @@ for argv in (
 ):
     assert main(argv) == 0, argv
 assert "nearsymp.local_model" not in sys.modules
+# the battery needs numpy: exit 2 with one error line, no traceback
+for argv in (["certify", sys.argv[2]], ["local-check"]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == 2, argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "numpy" in lines[0], lines
 """
 
 
@@ -318,14 +328,30 @@ def test_local_model_is_an_attribute_of_the_package_and_the_cli():
 
 def test_to_json_matches_the_recursive_copy(three_cp2):
     cert = certify(dataclasses.replace(three_cp2, grid=20))
-    cert.clauses.append(
-        CertClause(
-            "numpy values", np.bool_(True), "computed",
-            {"flag": np.bool_(False), "count": np.int64(-3), "x": np.float64(1 / 3)},
-            [np.array([0.1, -2.5e-17, np.float64(7.0)]), np.arange(3), np.float32(0.1)],
-        )
-    )
     assert cert.to_json() == certificate_json_reference(cert)
+
+
+def _leaves(value):
+    if isinstance(value, CertClause):
+        value = vars(value)
+    if isinstance(value, dict):
+        return [leaf for v in value.values() for leaf in _leaves(v)]
+    if isinstance(value, (list, tuple)):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("eps", [1.0, 1e100])
+def test_certificate_holds_only_plain_python_values(name, eps):
+    # to_json has no hook for numpy values, so none may reach a certificate,
+    # on a passing battery or on one whose values are NaN
+    mi = dataclasses.replace(parse_input(fixture_path(name)), grid=20, profile_eps=eps)
+    with np.errstate(all="ignore"):
+        cert = certify(mi)
+    assert cert.passed is (eps == 1.0)
+    leaves = _leaves(vars(cert))
+    assert {type(v) for v in leaves} <= {str, int, float, bool, type(None)}
 
 
 def test_certificate_emission(three_cp2, tmp_path):
@@ -752,6 +778,31 @@ def test_immersion_clause_needs_a_finite_minimum(monkeypatch, min_det):
     assert immersion.passed is False
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("profile", ["standard", "lutz"])
+def test_positivity_clause_needs_finite_values(monkeypatch, profile, value):
+    # g f' - f g' = inf or NaN says nothing about the sign: FAIL, as the
+    # immersion clause does
+    from nearsymp import local_model
+
+    contact_positivity = local_model.contact_positivity
+    calls = []
+
+    def patched(*args, **kwargs):  # the battery checks standard, then lutz
+        calls.append(None)
+        if len(calls) == ("standard", "lutz").index(profile) + 1:
+            return value
+        return contact_positivity(*args, **kwargs)
+
+    monkeypatch.setattr(local_model, "contact_positivity", patched)
+    summary, clauses = run_local_battery(
+        seed=11, grid=2, tolerance=1e-9, eps=1.0, delta=0.2, samples=1
+    )
+    assert summary[f"contact_positivity_{profile}"] is value
+    positivity = {c.name: c for c in clauses}["contact positivity of both profiles"]
+    assert positivity.passed is False
+
+
 @pytest.mark.parametrize("grid", ["0", "1", "-3"])
 def test_cli_local_check_rejects_small_grid(capsys, grid):
     assert main(["local-check", "--grid", grid]) == 2
@@ -798,3 +849,101 @@ def test_battery_identities_match_the_per_sample_loop(samples):
     assert want["samples"] == samples
     for key, value in want.items():
         assert summary[key] == value, key
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on mutated fixtures
+# ---------------------------------------------------------------------------
+
+_DOCS = {name: json.loads(fixture_path(name).read_text()) for name in FIXTURES}
+# what a retyped value becomes: every JSON type, each small
+_RETYPED = [None, True, 0, -1, 2, 2.0, 1.5, "1", [], [1], [[1]], {}]
+_EXTREME = {
+    "profile_eps": [1e-300, 1e-3, 2e-3, 0.05, 0.6, 1.0, 30.0, 1e100, 1e155, 0.0, -1.0,
+                    math.inf, math.nan],
+    "profile_delta": [1e-300, 1e-9, 0.1, 0.2, 1.0, 1e6, 1e300, 0.0, -0.5, math.inf, math.nan],
+    "tolerance": [0.0, 1e-300, 1e-9, 1.0, 1e300, -1.0, math.inf, math.nan],
+}
+
+
+def _locations(value):
+    """(container, key) of every value nested in a parsed JSON document."""
+    keys = value.keys() if isinstance(value, dict) else range(len(value))
+    for key in list(keys):
+        yield value, key
+        if isinstance(value[key], (dict, list)):
+            yield from _locations(value[key])
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """A fixture with a small grid and some extreme option values, then up
+    to three mutations: a value dropped or retyped, or small integers where
+    the pipeline reads them.  |c_i| <= 5 and genus <= 3 keep the circle
+    count d small."""
+    doc = json.loads(json.dumps(_DOCS[draw(st.sampled_from(FIXTURES))]))
+    options = {"grid": draw(st.integers(2, 20))}
+    for name, values in _EXTREME.items():
+        if draw(st.booleans()):
+            options[name] = draw(st.sampled_from(values))
+    if draw(st.booleans()):
+        options["seed"] = draw(st.integers(-1, 3))
+    doc["options"] = options
+    b2 = len(doc["intersection_form"])
+    small = st.lists(st.integers(-5, 5), min_size=b2 - 1, max_size=b2 + 1)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "c", "x0", "framings", "surface", "signs"]))
+        if kind in ("drop", "retype"):
+            container, key = draw(st.sampled_from(list(_locations(doc))))
+            if kind == "retype":
+                container[key] = draw(st.sampled_from(_RETYPED))
+            elif isinstance(container, dict):
+                del container[key]
+            else:
+                container.pop(key)
+        elif kind in ("c", "x0") and isinstance(doc.get("spinc"), dict):
+            doc["spinc"][kind] = draw(small)
+        elif kind == "framings":
+            doc["two_handle_framings"] = draw(small)
+        elif kind == "surface" and isinstance(doc.get("surfaces"), list) and doc["surfaces"]:
+            surface = draw(st.sampled_from(doc["surfaces"]))
+            if isinstance(surface, dict):
+                surface["genus"] = draw(st.integers(0, 3))
+                surface["self_intersection"] = draw(st.integers(-2, 3))
+        elif kind == "signs" and isinstance(doc.get("options"), dict):
+            doc["options"]["signs"] = draw(
+                st.lists(st.sampled_from([1, -1, 1, -1, 0, 2]), max_size=8)
+            )
+    return doc
+
+
+def _certify_in_process(doc: dict, base: Path) -> tuple[int, str, str]:
+    """main(["certify", ...]) on ``doc``; returns (exit code, stdout, stderr)."""
+    path = base.with_name(base.name + ".in.json")
+    path.write_text(json.dumps(doc))  # NaN and Infinity as Python writes them
+    out, err = io.StringIO(), io.StringIO()
+    # the 1e100-style profiles overflow inside numpy; its warnings are not
+    # part of the contract
+    with np.errstate(all="ignore"), contextlib.redirect_stdout(out):
+        with contextlib.redirect_stderr(err):
+            code = main(["certify", str(path), "--out", str(base)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_mutated_inputs())
+def test_exit_code_contract_on_mutated_fixtures(tmp_path_factory, doc):
+    # exit 0, 1 or 2 and no exception; 0 exactly when the report passes; a
+    # certificate that parses as strict JSON; exit 2 with one error line
+    base = tmp_path_factory.mktemp("contract") / "cert"
+    code, out, err = _certify_in_process(doc, base)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert (code == 0) == ("overall: PASS" in out)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        return
+    assert err == ""
+    cert = _strict_json(base.with_suffix(".json").read_text())
+    assert cert["passed"] is (code == 0)
+    assert out.endswith("overall: " + ("PASS" if code == 0 else "FAIL") + "\n")

@@ -11,7 +11,6 @@ from nearsymp.contact_kit import (
     GEN_R,
     GEN_S,
     LegendrianState,
-    ObstructionRecord,
     StabilizationPlan,
     canonical_anticomplex_link,
     connect_sum,
@@ -145,14 +144,9 @@ def test_obstruction_from_lk_is_identity():
 
 
 def test_theta_from_h():
-    assert theta_from_h(0).theta_times_2 == -1
-    assert theta_from_h(-1).theta_times_2 == 1
-    assert theta_from_h(1).theta_times_2 == -3
-
-
-def test_obstruction_record_invariant():
-    with pytest.raises(ValueError):
-        ObstructionRecord(h=0, theta_times_2=3)
+    assert theta_from_h(0) == -1
+    assert theta_from_h(-1) == 1
+    assert theta_from_h(1) == -3
 
 
 def test_total_obstruction():
@@ -164,8 +158,7 @@ def test_total_obstruction():
 def test_two_cancelling_circles_theta_sum():
     # lk -1 gives theta +1/2, lk +1 gives theta -3/2; together -1, the cost
     # of two standard ball extensions at -1/2 each
-    recs = [theta_from_h(obstruction_from_lk(lk)) for lk in (-1, 1)]
-    assert sum(r.theta_times_2 for r in recs) == -2
+    assert sum(theta_from_h(obstruction_from_lk(lk)) for lk in (-1, 1)) == -2
 
 
 def test_obstruction_from_linking_matrix():
