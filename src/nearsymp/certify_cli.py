@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -353,36 +354,42 @@ def _pointwise_maxima(pts) -> tuple[float, float, float, float, float]:
     metric_g (the conformal factor f(R) at eps' = 0.5: 1 for R <= eps'/2, R
     for R >= eps', the smooth blend only in between), hodge_star_2form,
     honda_form and wedge_square.  Their outputs are collected in lists per
-    block of _SAMPLE_BLOCK samples and turned into one array per block; each
-    identity is then checked on the whole block at once.  The maxima are
-    folded with np.maximum, so a NaN deviation stays NaN.
+    block of _SAMPLE_BLOCK samples and streamed into one flat array each by
+    np.fromiter, with the count known in advance; each identity is then
+    checked on the whole block at once.  The maxima are folded with
+    np.maximum, so a NaN deviation stays NaN.
     """
     import numpy as np
 
     from . import local_model
 
+    def stacked(rows, *shape):
+        # the floats of the tuples in rows, in order, as one array of shape
+        return np.fromiter(chain.from_iterable(rows), float, math.prod(shape)).reshape(shape)
+
     maxima = np.zeros(5)
     for start in range(0, len(pts), _SAMPLE_BLOCK):
         block = pts[start:start + _SAMPLE_BLOCK]
+        n = len(block)
         J, w, star, honda, wedge = [], [], [], [], []
         for T, x, y in block.tolist():
-            J.append(local_model.J_near(T, x, y))
+            J.extend(local_model.J_near(T, x, y))  # its four rows
             form = local_model.omega_near_Z(T, x, y)
             factor = local_model.metric_g(T, x, y, 0.5)
             star.append(local_model.hodge_star_2form(factor, 1, form))
             honda.append(local_model.honda_form(T, x, y))
             w.append(form)
             wedge.append(local_model.wedge_square(form))
-        Jb, wb = np.array(J), np.array(w)
+        Jb, wb = stacked(J, n, 4, 4), stacked(w, n, 6)
         Wb = local_model.form_matrix(wb)
         T, x, y = block.T
         R2 = 4 * T * T + x * x + y * y
         maxima = np.maximum(maxima, [
             np.abs(Jb @ Jb + np.eye(4)).max(),
             np.abs(Jb.transpose(0, 2, 1) @ Wb @ Jb - Wb).max(),
-            np.abs(np.array(star) - wb).max(),
-            np.abs(np.array(honda) - wb).max(),
-            np.abs(np.array(wedge) - 2 * R2).max(),
+            np.abs(stacked(star, n, 6) - wb).max(),
+            np.abs(stacked(honda, n, 6) - wb).max(),
+            np.abs(np.fromiter(wedge, float, n) - 2 * R2).max(),
         ])
     return tuple(maxima.tolist())
 
@@ -658,7 +665,14 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
     }
 
     # two-handle records -----------------------------------------------------
-    rotations = list(mi.x0) if mi.x0 is not None else list(mi.c)
+    # without x0, two-handle i turns c_1 on its surface's class: c . S_i is
+    # its rotation number (Gompf 1998, Prop. 2.3), one per surface and the
+    # same in every basis of H2
+    rotations = (
+        list(mi.x0)
+        if mi.x0 is not None
+        else [topo_core.pairing(mi.c, s.cls, Q) for s in mi.configuration.vertices]
+    )
     framings = (
         list(mi.two_handle_framings)
         if mi.two_handle_framings is not None

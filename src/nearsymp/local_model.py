@@ -125,6 +125,18 @@ def smooth_bump(u):
 _NQUAD = 64
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The spine's _NQUAD-node Gauss-Legendre rule (nodes, weights), shared
+    read-only by every curve.  It is computed by the first curve built, not
+    at import: leggauss runs LAPACK, whose first call costs about 1.6 MiB of
+    RSS that exact-only runs never need."""
+    qx, qw = np.polynomial.legendre.leggauss(_NQUAD)
+    qx.flags.writeable = False
+    qw.flags.writeable = False
+    return qx, qw
+
+
 @dataclass(frozen=True)
 class ProfileCurve:
     """The assembled two-parameter profile phi(t, rho) = (g, f).
@@ -159,10 +171,7 @@ class ProfileCurve:
         object.__setattr__(self, "RB1", 0.7 * self.rho_max)
         object.__setattr__(self, "kappa", 0.5 / self.rho_max)
         object.__setattr__(self, "fold_radius", min(0.1, self.RB0))
-        # the spine's Gauss-Legendre rule is computed here, not at import:
-        # leggauss runs LAPACK, whose first call costs about 1.6 MiB of RSS
-        # that exact-only runs never need
-        qx, qw = np.polynomial.legendre.leggauss(_NQUAD)
+        qx, qw = _gauss_legendre()
         object.__setattr__(self, "_qx", qx)
         object.__setattr__(self, "_qw", qw)
         object.__setattr__(self, "c_left", self._solve_left_rate())
@@ -175,14 +184,24 @@ class ProfileCurve:
     def _wL(self, t):
         return smooth_step((np.asarray(t, dtype=float) - self.T0) / (self.T1 - self.T0))
 
-    def _spine_rate(self, t, c):
+    def _spine_terms(self, t):
+        """(base, bump) of the spine's rate base * exp(c * bump); neither
+        depends on the amplitude c."""
         w = self._wL(t)
         base = (1 - w) * np.exp(t) + w * (-2.0) * (t - 0.5)
-        return base * np.exp(c * smooth_bump((t - self.T0) / (self.T1 - self.T0)))
+        return base, smooth_bump((t - self.T0) / (self.T1 - self.T0))
+
+    @staticmethod
+    def _rate(base, bump, c):
+        return base * np.exp(c * bump)
+
+    def _spine_rate(self, t, c):
+        return self._rate(*self._spine_terms(t), c)
 
     def _solve_left_rate(self) -> float:
         """Bump amplitude making the spine integral land exactly on q(T1)."""
         x = 0.5 * (self.T1 - self.T0) * self._qx + 0.5 * (self.T0 + self.T1)
+        base, bump = self._spine_terms(x)
         target = self.q(self.T1) - math.exp(self.T0)
         lo, hi = -30.0, 30.0
         for _ in range(200):
@@ -190,7 +209,7 @@ class ProfileCurve:
             if not lo < mid < hi:
                 # lo and hi are adjacent floats: no later step changes the result
                 break
-            val = 0.5 * (self.T1 - self.T0) * np.sum(self._qw * self._spine_rate(x, mid))
+            val = 0.5 * (self.T1 - self.T0) * np.sum(self._qw * self._rate(base, bump, mid))
             if val > target:
                 hi = mid
             else:
@@ -216,7 +235,10 @@ class ProfileCurve:
         left, blend = t <= self.T0, t <= self.T1
         B = (1 - w) * et + w * (-2.0) * (t - 0.5)
         B_t = (1 - w) * et - w_t * et - 2.0 * w_t * (t - 0.5) - 2.0 * w
-        G = np.where(left, et, np.where(blend, self._spine_left(t), self.q(t)))
+        # the spine's quadrature runs only at the t inside the blend zone
+        in_blend = ~left & blend
+        G = np.where(left, et, self.q(t))
+        G[in_blend] = self._spine_left(t[in_blend])
         # the spine's t-derivative is its integrand, the rate
         G_t = np.where(
             left, et, np.where(blend, self._spine_rate(t, self.c_left), -2.0 * (t - 0.5))
@@ -542,8 +564,9 @@ def hodge_star_2form(factor: float, orientation: int, w: Form) -> Form:
     if not factor > 0:
         raise ValueError("degenerate or indefinite metric")
     c0, c1, c2, c3, c4, c5 = w
-    o = orientation
-    return (o * c5, o * -c4, o * c3, o * c2, o * -c1, o * c0)
+    if orientation == 1:
+        return (c5, -c4, c3, c2, -c1, c0)
+    return (-c5, c4, -c3, -c2, c1, -c0)
 
 
 def honda_form(T: float, x: float, y: float) -> Form:

@@ -315,6 +315,34 @@ def phi_partials_central(P, t, rho, h: float = 1e-6):
     )
 
 
+def phi_jet_spine_everywhere(P, t, rho):
+    """``P.phi_jet(t, rho)`` with the left spine's quadrature evaluated at
+    every t and kept only in the blend zone T0 < t <= T1 by np.where."""
+    from nearsymp.local_model import ProfileCurve, smooth_step_d
+
+    class SpineEverywhere(ProfileCurve):
+        def _base(self, t, rho):
+            t = np.asarray(t, dtype=float)
+            rho = np.asarray(rho, dtype=float)
+            et = np.exp(t)
+            w = self._wL(t)
+            w_t = smooth_step_d((t - self.T0) / (self.T1 - self.T0)) / (self.T1 - self.T0)
+            left, blend = t <= self.T0, t <= self.T1
+            B = (1 - w) * et + w * (-2.0) * (t - 0.5)
+            B_t = (1 - w) * et - w_t * et - 2.0 * w_t * (t - 0.5) - 2.0 * w
+            G = np.where(left, et, np.where(blend, self._spine_left(t), self.q(t)))
+            G_t = np.where(
+                left, et, np.where(blend, self._spine_rate(t, self.c_left), -2.0 * (t - 0.5))
+            )
+            Ac = np.where(left, 0.0, np.where(blend, w, 1.0))
+            Ac_t = np.where(left | ~blend, 0.0, w_t)
+            Bc = np.where(left, et, np.where(blend, B, -2.0 * (t - 0.5)))
+            Bc_t = np.where(left, et, np.where(blend, B_t, -2.0))
+            return G + rho * Ac, rho * Bc, G_t + rho * Ac_t, Ac, rho * Bc_t, Bc
+
+    return SpineEverywhere(eps=P.eps, delta=P.delta).phi_jet(t, rho)
+
+
 # ---------------------------------------------------------------------------
 # Hodge star on 2-forms for a general metric
 # ---------------------------------------------------------------------------
@@ -337,6 +365,14 @@ def form_matrix_loop(w):
         W[a, b] = c
         W[b, a] = -c
     return W
+
+
+def hodge_star_scaled(orientation: int, w) -> tuple[float, ...]:
+    """The flat star as the signed permutation of w, each component
+    multiplied by the orientation."""
+    c0, c1, c2, c3, c4, c5 = w
+    o = orientation
+    return (o * c5, o * -c4, o * c3, o * c2, o * -c1, o * c0)
 
 
 def hodge_star_general(G, orientation: int, w) -> tuple[float, ...]:

@@ -208,6 +208,78 @@ def test_certify_aborts_on_dimension_mismatch(three_cp2):
     assert "dimension" in str(err.value)
 
 
+def _k3_document() -> dict:
+    """A K3 surface as -E8 + -E8 + 3H, with one genus-1 surface of square 2
+    (e + f in the first H) and c = 0, and no x0.  By hand: sigma = -16,
+    chi = 2 + 22 = 24 and c^2 = 0 = 2 chi + 3 sigma, so d = (0 + 48 - 48)/4
+    = 0."""
+    # -E8: the negative Cartan matrix of E8, a chain of seven nodes with the
+    # eighth joined to the third
+    minus_e8 = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)]:
+        minus_e8[a][b] = minus_e8[b][a] = 1
+    form = [[0] * 22 for _ in range(22)]
+    for k in (0, 8):
+        for i in range(8):
+            form[k + i][k:k + 8] = minus_e8[i]
+    for a in (16, 18, 20):
+        form[a][a + 1] = form[a + 1][a] = 1
+    cls = [0] * 22
+    cls[16] = cls[17] = 1
+    return {
+        "intersection_form": form,
+        "b1": 0,
+        "b3": 0,
+        "surfaces": [{"genus": 1, "cls": cls, "self_intersection": 2}],
+        "edges": [],
+        "spinc": {"c": [0] * 22},
+        "options": {},
+    }
+
+
+def test_certify_k3_rotates_its_handle_by_c_on_the_surface(tmp_path, capsys):
+    # the default rotation target is c . S, one per surface; c's 22
+    # coordinates gave "1 two-handle framings vs 22 rotation targets"
+    doc = _k3_document()
+    cert = certify(manifold_input_from_dict(doc), run_battery=False)
+    assert cert.invariants == {"chi": 24, "sigma": -16, "c_squared": 0, "d": 0}
+    assert [(h["framing"], h["tb"], h["rotation"]) for h in cert.two_handles] == [(2, 3, 0)]
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(doc))
+    assert main(["certify", str(path), "--grid", "20"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_default_rotations_do_not_depend_on_the_basis():
+    # three_cp2 without x0, and the same manifold after the basis change
+    # e2 <- e1 + e2: Q' = P^T Q P, with c and the classes mapped by P^-1
+    doc = json.loads(fixture_path("three_cp2.json").read_text())
+    del doc["spinc"]["x0"]
+    P = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    P_inv = [[1, -1, 0], [0, 1, 0], [0, 0, 1]]
+    Q = doc["intersection_form"]
+
+    def inv(v):
+        return [sum(P_inv[i][k] * v[k] for k in range(3)) for i in range(3)]
+
+    changed = json.loads(json.dumps(doc))
+    changed["intersection_form"] = [
+        [sum(P[k][i] * Q[k][m] * P[m][j] for k in range(3) for m in range(3))
+         for j in range(3)]
+        for i in range(3)
+    ]
+    assert changed["intersection_form"] == [[1, 1, 0], [1, 2, 0], [0, 0, 1]]
+    changed["spinc"]["c"] = inv(doc["spinc"]["c"])
+    for surface in changed["surfaces"]:
+        surface["cls"] = inv(surface["cls"])
+    before = certify(manifold_input_from_dict(doc), run_battery=False)
+    after = certify(manifold_input_from_dict(changed), run_battery=False)
+    assert before.passed
+    assert after.invariants == before.invariants
+    assert after.two_handles == before.two_handles
+    assert after.clauses == before.clauses
+
+
 def test_certify_aborts_without_positive_part():
     mi = manifold_input_from_dict(
         {
@@ -447,6 +519,12 @@ def test_cli_certify_bad_signs_exit_1(tmp_path, capsys):
         ({"options": {"signs": 0}}, [], "options.signs"),
         ({"options": {"signs": False}}, [], "options.signs"),
         ({}, ["--signs", "a"], "--signs"),
+        # without x0 there is one rotation target per surface, not one per
+        # basis vector: three framings for two surfaces
+        ({"surfaces": [{"genus": 0, "cls": [1, 0, 0], "self_intersection": 1},
+                       {"genus": 0, "cls": [0, 1, 0], "self_intersection": 1}],
+          "spinc": {"c": [1, 3, 3]}},
+         [], "3 two-handle framings vs 2 rotation targets"),
     ],
 )
 def test_cli_certify_malformed_input_exits_2(tmp_path, capsys, patch, flags, field):
@@ -728,6 +806,10 @@ def test_pointwise_maxima_keep_a_nan(monkeypatch, at):
     maxima = certify_cli._pointwise_maxima(pts)
     assert math.isnan(maxima[4])
     assert all(0 <= v <= 1e-12 for v in maxima[:4])
+
+
+def test_pointwise_maxima_of_no_samples_are_zero():
+    assert certify_cli._pointwise_maxima(np.empty((0, 3))) == (0.0,) * 5
 
 
 def test_battery_residuals_keep_a_nan(monkeypatch):

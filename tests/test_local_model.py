@@ -34,7 +34,9 @@ from oracles import (
     J_near_reference,
     form_matrix_loop,
     hodge_star_general,
+    hodge_star_scaled,
     metric_factor_reference,
+    phi_jet_spine_everywhere,
     phi_partials_central,
     smooth_step_where,
 )
@@ -337,6 +339,63 @@ def test_left_rate_equals_full_bisection(eps, delta):
     assert curve.c_left == _left_rate_full_bisection(curve)
 
 
+def _spine_inputs(curve):
+    """(name, t, rho) cases for the zone-indexed spine: the battery's fold
+    and patch points, uniform t, t in the blend only, the immersion check's
+    blocks and single points."""
+    rng = np.random.default_rng(17)
+    n = 200
+    ang = rng.uniform(0, math.pi, n)
+    rad = curve.fold_radius * np.sqrt(rng.uniform(0, 1, n))
+    rho = rng.uniform(0, curve.rho_max, n)
+    cases = [
+        ("fold", 0.5 + rad * np.cos(ang), np.abs(rad * np.sin(ang))),
+        ("left-patch", rng.uniform(0, curve.T0, n), rho),
+        ("twisted-patch", rng.uniform(curve.T3, 1.0, n), rho),
+        ("uniform", rng.uniform(0, 1, n), rho),
+        ("blend-only", rng.uniform(curve.T0, curve.T1, n), rho),
+        ("zone-edges", np.array([0.0, curve.T0, np.nextafter(curve.T0, 1), curve.T1,
+                                 np.nextafter(curve.T1, 1), 1.0]), rho[:6]),
+        ("scalar-blend", 0.5 * (curve.T0 + curve.T1), 0.3 * curve.rho_max),
+        ("scalar-wall", 0.5 * curve.T0, 0.3 * curve.rho_max),
+    ]
+    grid = 150
+    t = np.linspace(0.0, 1.0, grid)[:, None]
+    r = np.linspace(0.0, curve.rho_max, grid)[None, :]
+    for i in range(0, grid, 64):
+        cases.append((f"immersion-block-{i}", t[i:i + 64], r))
+    return cases
+
+
+@pytest.mark.parametrize("eps,delta", IMMERSION_CURVES)
+def test_phi_jet_matches_the_spine_evaluated_everywhere(eps, delta):
+    # the spine's quadrature runs only at the t inside the blend zone; the
+    # reference runs it at every t and discards the rest with np.where
+    curve = ProfileCurve(eps=eps, delta=delta)
+    in_blend = 0
+    for name, t, rho in _spine_inputs(curve):
+        got = curve.phi_jet(t, rho)
+        want = phi_jet_spine_everywhere(curve, t, rho)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        t = np.asarray(t)
+        in_blend += int(((t > curve.T0) & (t <= curve.T1)).sum())
+    assert in_blend > 0
+
+
+def test_curves_share_one_read_only_gauss_legendre_rule():
+    a, b = ProfileCurve(eps=1.0, delta=0.2), ProfileCurve(eps=0.6, delta=0.1)
+    assert a._qx is b._qx and a._qw is b._qw
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    assert a._qx.tobytes() == nodes.tobytes()
+    assert a._qw.tobytes() == weights.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        a._qx[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        b._qw[0] = 0.0
+
+
 def test_profile_curve_rejects_bad_parameters():
     with pytest.raises(ValueError):
         ProfileCurve(eps=0.0)
@@ -544,6 +603,26 @@ def test_hodge_star_rejects_bad_orientation():
 def test_hodge_star_rejects_degenerate_metric(factor):
     with pytest.raises(ValueError, match="degenerate or indefinite metric"):
         hodge_star_2form(factor, 1, FORM_A)
+
+
+_SPECIAL = [0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan, 5e-324, -1e308]
+
+
+def _bits(form):
+    return np.array(form, dtype=float).tobytes()
+
+
+def test_hodge_star_is_the_orientation_times_the_permutation_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        w = tuple(float(v) for v in rng.choice(_SPECIAL, 6))
+        assert _bits(hodge_star_2form(G0, 1, w)) == _bits(hodge_star_scaled(1, w))
+        # the flipped orientation agrees by value (a NaN stays a NaN)
+        flipped = hodge_star_2form(G0, -1, w)
+        assert np.array_equal(flipped, hodge_star_scaled(-1, w), equal_nan=True)
+        # the reference's sums overflow near the top of the float range
+        finite = tuple(v if abs(v) < 1e300 else 3.0 for v in w)
+        assert hodge_star_2form(2.0, -1, finite) == hodge_star_general(np.eye(4), -1, finite)
 
 
 @settings(max_examples=300, deadline=None)
