@@ -68,6 +68,11 @@ def _strict(value):
     return value
 
 
+def _dumps(doc) -> str:
+    """The layout of every JSON file the CLI writes."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 class CertifyError(Exception):
     """A hard precondition failure; carries the failing clause name."""
 
@@ -300,7 +305,7 @@ class ConstructionCertificate:
                 for c in self.clauses
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _dumps(doc)
 
     def report(self) -> str:
         lines = ["construction certificate", "=" * 24]
@@ -435,7 +440,7 @@ def run_local_battery(
         for T, x, y in pts[:20]
     ))
 
-    min_det = local_model.phi_immersion_check(P, grid=grid, exclusion=0.05)
+    min_det = local_model.phi_immersion_check(P, grid=grid)
 
     # fold-zone exactness at seeded sample points
     n_fold = 200
@@ -515,7 +520,7 @@ def run_local_battery(
         CertClause(
             "profile map is an orientation-preserving immersion off the fold",
             0 < min_det < math.inf, "computed", min_det, "> 0",
-            "Jacobian determinant positive outside exclusion radius 0.05",
+            f"Jacobian determinant positive outside exclusion radius {local_model.FOLD_EXCLUSION}",
         ),
         CertClause(
             "fold formula exact in its declared zone", fold_err == 0.0,
@@ -598,8 +603,7 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
         )
     )
 
-    report = spinc_planner.check_spinc_constraints(mi.c, mi.configuration, Q)
-    for cl in report.clauses:
+    for cl in spinc_planner.check_spinc_constraints(mi.c, mi.configuration, Q):
         if not cl.passed:
             raise CertifyError(
                 f"adjunction/characteristic clause '{cl.name}'",
@@ -649,19 +653,19 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
         )
     else:
         plan = spinc_planner.plan_circles(d)
-    sched = spinc_planner.level_schedule_check(plan)
-    levels = spinc_planner.circle_levels(plan)
+    levels, mids = plan.levels, plan.midpoints
     clauses.append(
         CertClause(
-            "one circle per level, at midpoints", sched.passed, "computed",
-            [round(v, 12) for v in levels], None,
+            "one circle per level, at midpoints",
+            all(lo < mid < hi for lo, mid, hi in zip(levels, mids, levels[1:])),
+            "computed", [round(v, 12) for v in mids], None,
             "nested level spheres between radius 0.9 and 1",
         )
     )
     circle_plan = {
         "signs": list(plan.signs),
-        "levels": list(plan.levels),
-        "circle_levels": list(levels),
+        "levels": list(levels),
+        "circle_levels": list(mids),
     }
 
     # two-handle records -----------------------------------------------------
@@ -955,10 +959,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 status = "PASS" if c.passed else "FAIL"
                 print(f"[{status}] {c.name}: {c.value}")
             if args.out:
-                Path(args.out).write_text(
-                    json.dumps(_strict(summary), indent=2, sort_keys=True, allow_nan=False)
-                    + "\n"
-                )
+                Path(args.out).write_text(_dumps(_strict(summary)))
             print("overall:", "PASS" if ok else "FAIL")
             return 0 if ok else 1
 

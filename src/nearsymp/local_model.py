@@ -106,6 +106,13 @@ def smooth_step_d(u):
     return np.where(inside, val, 0.0)
 
 
+def _blend(x, lo, hi):
+    """The smooth_step weight from 0 at x = lo to 1 at x = hi, and its x-derivative."""
+    width = hi - lo
+    u = (x - lo) / width
+    return smooth_step(u), smooth_step_d(u) / width
+
+
 def smooth_bump(u):
     """C-infinity bump on (0,1), peak value 1 at u = 1/2, flat at the ends."""
     u = np.clip(u, 0.0, 1.0)
@@ -230,8 +237,7 @@ class ProfileCurve:
         t = np.asarray(t, dtype=float)
         rho = np.asarray(rho, dtype=float)
         et = np.exp(t)
-        w = self._wL(t)
-        w_t = smooth_step_d((t - self.T0) / (self.T1 - self.T0)) / (self.T1 - self.T0)
+        w, w_t = _blend(t, self.T0, self.T1)
         left, blend = t <= self.T0, t <= self.T1
         B = (1 - w) * et + w * (-2.0) * (t - 0.5)
         B_t = (1 - w) * et - w_t * et - 2.0 * w_t * (t - 0.5) - 2.0 * w
@@ -251,38 +257,40 @@ class ProfileCurve:
 
     # -- the twisted (extra-pi) boundary profile ----------------------------
 
-    def _sigma(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        s = smooth_step(rho / self.RB1)
-        return self.kappa * rho + (1.0 - self.kappa * rho) * s
+    def _twist(self, rho):
+        """Angle of the twisted profile and its rho-derivative: the angle
+        climbs monotonically from -pi at rho = 0 back to the standard angle
+        at rho >= RB1."""
+        s, s_r = _blend(rho, 0.0, self.RB1)
+        sigma = self.kappa * rho + (1.0 - self.kappa * rho) * s
+        sigma_r = self.kappa * (1.0 - s) + (1.0 - self.kappa * rho) * s_r
+        return (
+            np.arctan2(rho, 1.0) - math.pi * (1.0 - sigma),
+            1.0 / (1.0 + rho**2) + math.pi * sigma_r,
+        )
 
-    def _sigma_d(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        s = smooth_step(rho / self.RB1)
-        sd = smooth_step_d(rho / self.RB1) / self.RB1
-        return self.kappa * (1.0 - s) + (1.0 - self.kappa * rho) * sd
+    @staticmethod
+    def _at_twist(rho, a, a_r):
+        """(g1, f1, g1', f1') for the twist angle a and its derivative a_r."""
+        r = np.sqrt(1.0 + rho**2)
+        rd = rho / r
+        cos, sin = np.cos(a), np.sin(a)
+        return r * cos, r * sin, rd * cos - r * a_r * sin, rd * sin + r * a_r * cos
 
-    def twist_angle(self, rho):
-        """Angle of the twisted profile: climbs monotonically from -pi at
-        rho = 0 back to the standard angle at rho >= RB1."""
+    def lutz_jet(self, rho):
+        """(g1, f1, g1', f1'): radius sqrt(1 + rho^2) at the twisted angle,
+        with the rho-derivatives."""
         rho = np.asarray(rho, dtype=float)
-        return np.arctan2(rho, 1.0) - math.pi * (1.0 - self._sigma(rho))
-
-    def twist_angle_d(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return 1.0 / (1.0 + rho**2) + math.pi * self._sigma_d(rho)
+        return self._at_twist(rho, *self._twist(rho))
 
     def lutz_profile(self, rho):
-        """(g1, f1): radius sqrt(1 + rho^2) at the twisted angle."""
-        rho = np.asarray(rho, dtype=float)
-        a = self.twist_angle(rho)
-        r = np.sqrt(1.0 + rho**2)
-        return r * np.cos(a), r * np.sin(a)
+        """(g1, f1), the value part of ``lutz_jet``."""
+        return self.lutz_jet(rho)[:2]
 
     def lutz_point(self, rho: float) -> tuple[float, float]:
         """``lutz_profile`` at one Python float, line for line in ``math``:
-        the smooth_step clamp and floors, ``_sigma``, ``twist_angle`` and
-        the radius.  ``rho * rho`` rather than ``rho**2``: float ``**``
+        the smooth_step clamp and floors, the angle of ``_twist`` and the
+        radius.  ``rho * rho`` rather than ``rho**2``: float ``**``
         raises OverflowError where numpy gives inf."""
         u = min(max(rho / self.RB1, 0.0), 1.0)
         a = math.exp(-1.0 / max(u, 1e-300))
@@ -292,18 +300,6 @@ class ProfileCurve:
         angle = math.atan2(rho, 1.0) - math.pi * (1.0 - sigma)
         r = math.sqrt(1.0 + rho * rho)
         return r * math.cos(angle), r * math.sin(angle)
-
-    def lutz_profile_d(self, rho):
-        """Analytic rho-derivatives (g1', f1')."""
-        rho = np.asarray(rho, dtype=float)
-        a = self.twist_angle(rho)
-        ad = self.twist_angle_d(rho)
-        r = np.sqrt(1.0 + rho**2)
-        rd = rho / r
-        return (
-            rd * np.cos(a) - r * ad * np.sin(a),
-            rd * np.sin(a) + r * ad * np.cos(a),
-        )
 
     # -- the assembled map --------------------------------------------------
 
@@ -326,8 +322,7 @@ class ProfileCurve:
         lb_r = (bu * bu_r + bv * bv_r) / n2
         tb_t = (bu * bv_t - bv * bu_t) / n2
         tb_r = (bu * bv_r - bv * bu_r) / n2
-        s = smooth_step((rho - self.RB0) / (self.RB1 - self.RB0))
-        s_r = smooth_step_d((rho - self.RB0) / (self.RB1 - self.RB0)) / (self.RB1 - self.RB0)
+        s, s_r = _blend(rho, self.RB0, self.RB1)
         th_std = np.arctan2(rho, 1.0)
         lam_std = t + 0.5 * np.log1p(rho**2)
         ts_r = 1.0 / (1.0 + rho**2)
@@ -339,15 +334,14 @@ class ProfileCurve:
         lm_r = (1 - s) * lb_r + s * ls_r + s_r * (lam_std - lam_base)
         tm_t = (1 - s) * tb_t
         tm_r = (1 - s) * tb_r + s * ts_r + s_r * (th_std - th_base)
-        w = smooth_step((t - self.T2) / (self.T3 - self.T2))
-        w_t = smooth_step_d((t - self.T2) / (self.T3 - self.T2)) / (self.T3 - self.T2)
-        th_wall = self.twist_angle(rho)
+        w, w_t = _blend(t, self.T2, self.T3)
+        th_wall, th_wall_r = self._twist(rho)
         lam = (1 - w) * lam_mid + w * lam_std
         th = (1 - w) * th_mid + w * th_wall
         lam_t = (1 - w) * lm_t + w + w_t * (lam_std - lam_mid)
         lam_r = (1 - w) * lm_r + w * ls_r
         th_t = (1 - w) * tm_t + w_t * (th_wall - th_mid)
-        th_r = (1 - w) * tm_r + w * self.twist_angle_d(rho)
+        th_r = (1 - w) * tm_r + w * th_wall_r
         radius = np.exp(lam)
         pu, pv = radius * np.cos(th), radius * np.sin(th)
         # d(pu + i pv) = (pu + i pv)(dlam + i dth), used in the polar zone below
@@ -356,8 +350,7 @@ class ProfileCurve:
         # the fold formula is spelled out verbatim so it is exact to the bit.
         # Its partials (-2 (t-1/2), 1) are the base's own for t >= T1.
         bu = np.where(t >= self.T1, rho - (t - 0.5) ** 2 + 1 + self.delta, bu)
-        g1, f1 = self.lutz_profile(rho)
-        g1_r, f1_r = self.lutz_profile_d(rho)
+        g1, f1, g1_r, f1_r = self._at_twist(rho, th_wall, th_wall_r)
         wall = (t <= self.T0) | (rho >= self.RB1)
         twisted = t >= self.T3
         core = (t <= self.T2) & (rho <= self.RB0)
@@ -446,19 +439,15 @@ def contact_positivity(
 # rows of t per block of the immersion check: bounds its temporaries to
 # _IMMERSION_BLOCK x grid
 _IMMERSION_BLOCK = 64
+# the immersion check skips the disk of this radius around the fold point (1/2, 0)
+FOLD_EXCLUSION = 0.05
 
 
-def phi_immersion_check(
-    P: ProfileCurve,
-    grid: int = 200,
-    exclusion: float = 0.05,
-) -> float:
+def phi_immersion_check(P: ProfileCurve, grid: int = 200) -> float:
     """Minimum Jacobian determinant u_t v_rho - u_rho v_t of phi, from
     ``ProfileCurve.phi_jet``, over the grid x grid points of [0, 1] x
-    [0, rho_max], excluding a disk around the fold point (1/2, 0); NaN if
-    the determinant is NaN at any of those points."""
-    if exclusion <= 0:
-        raise ValueError("exclusion radius must be positive")
+    [0, rho_max] outside the disk of radius FOLD_EXCLUSION around the fold
+    point (1/2, 0); NaN if the determinant is NaN at any of those points."""
     # t along axis 0 and rho along axis 1 as broadcast shapes (block, 1) and
     # (1, grid): every term that depends on one variable only (the spine
     # quadrature above all) is computed once per grid line, not per point
@@ -469,7 +458,7 @@ def phi_immersion_check(
         tb = t[i:i + _IMMERSION_BLOCK]
         _, _, u_t, u_r, v_t, v_r = P.phi_jet(tb, r)
         det = u_t * v_r - u_r * v_t
-        mask = (tb - 0.5) ** 2 + r**2 > exclusion**2
+        mask = (tb - 0.5) ** 2 + r**2 > FOLD_EXCLUSION**2
         block_minima.append(np.where(mask, det, np.inf).min())
     # np.min, not Python's min: a NaN block minimum stays NaN
     return float(np.min(block_minima))

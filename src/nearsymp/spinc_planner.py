@@ -74,29 +74,34 @@ class ConfigurationGraph:
 
 @dataclass(frozen=True)
 class CirclePlan:
-    """Ordered signed circles with a strictly increasing level schedule."""
+    """Ordered signed circles, each at the midpoint of its level interval."""
 
     signs: tuple[int, ...]
-    levels: tuple[float, ...]
     d: int
 
     def __post_init__(self):
         signs = tuple(int(s) for s in self.signs)
         object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "levels", tuple(float(a) for a in self.levels))
-        if signs:
-            if any(s not in (-1, 1) for s in signs):
-                raise ValueError("circle signs must be +1 or -1")
-            if signs[0] != -1:
-                raise ValueError("first circle sign must be -1")
-            if sum(signs) != self.d:
-                raise ValueError("circle signs must sum to d")
-            if len(self.levels) != len(signs) + 1:
-                raise ValueError("need one more level than circles")
-            if abs(self.levels[0] - 0.9) > 1e-15 or abs(self.levels[-1] - 1.0) > 1e-15:
-                raise ValueError("levels must run from 0.9 to 1.0")
-            if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
-                raise ValueError("levels must be strictly increasing")
+        if not signs:
+            raise ValueError("need at least one circle sign")
+        if any(s not in (-1, 1) for s in signs):
+            raise ValueError("circle signs must be +1 or -1")
+        if signs[0] != -1:
+            raise ValueError("first circle sign must be -1")
+        if sum(signs) != self.d:
+            raise ValueError("circle signs must sum to d")
+
+    @property
+    def levels(self) -> tuple[float, ...]:
+        """The n + 1 levels 0.9 + 0.1 i / n of n circles, from 0.9 to 1.0."""
+        n = len(self.signs)
+        return tuple(0.9 + 0.1 * i / n for i in range(n + 1))
+
+    @property
+    def midpoints(self) -> tuple[float, ...]:
+        """Midpoints of the level intervals: where the circles sit."""
+        levels = self.levels
+        return tuple(0.5 * (a + b) for a, b in zip(levels, levels[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +129,9 @@ class Clause:
     rhs: object = None
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    clauses: tuple[Clause, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.clauses)
-
-
 def check_spinc_constraints(
     c: Sequence[int], config: ConfigurationGraph, Q: SymmetricForm
-) -> ConstraintReport:
+) -> tuple[Clause, ...]:
     """Verify the pairing constraints tying the class c to a configuration.
 
     The first surface carries the stabilized target, later surfaces the
@@ -162,7 +158,7 @@ def check_spinc_constraints(
             clauses.append(
                 Clause(f"row sum positive at surface {i + 1}", rowsum > 0, rowsum, "> 0")
             )
-    return ConstraintReport(clauses=tuple(clauses))
+    return tuple(clauses)
 
 
 def compute_d(c_squared: int, sigma: int, chi: int) -> int:
@@ -174,10 +170,6 @@ def compute_d(c_squared: int, sigma: int, chi: int) -> int:
             "the class is not characteristic or the input is inconsistent"
         )
     return num // 4
-
-
-def _uniform_levels(n: int) -> tuple[float, ...]:
-    return tuple(0.9 + 0.1 * i / n for i in range(n + 1))
 
 
 def plan_circles(d: int) -> CirclePlan:
@@ -192,45 +184,13 @@ def plan_circles(d: int) -> CirclePlan:
         signs = (-1,) + (1,) * (d + 1)
     else:
         signs = (-1, 1)
-    return CirclePlan(signs=signs, levels=_uniform_levels(len(signs)), d=d)
+    return CirclePlan(signs=signs, d=d)
 
 
 def custom_circle_plan(signs: Sequence[int]) -> CirclePlan:
     """Any sign sequence works, provided it starts with -1."""
     signs = tuple(int(s) for s in signs)
-    if not signs:
-        raise ValueError("need at least one circle sign")
-    if any(s not in (-1, 1) for s in signs):
-        raise ValueError("circle signs must be +1 or -1")
-    if signs[0] != -1:
-        raise ValueError("l1 must be -1")
-    return CirclePlan(signs=signs, levels=_uniform_levels(len(signs)), d=sum(signs))
-
-
-def circle_levels(plan: CirclePlan) -> tuple[float, ...]:
-    """Midpoints of the level intervals: where the circles actually sit."""
-    return tuple(
-        0.5 * (a + b) for a, b in zip(plan.levels, plan.levels[1:])
-    )
-
-
-def level_schedule_check(plan: CirclePlan) -> ConstraintReport:
-    """One circle per level interval, each at the interval midpoint, with
-    the prescribed linking sign."""
-    clauses: list[Clause] = []
-    mids = circle_levels(plan)
-    for i, (sign, mid) in enumerate(zip(plan.signs, mids)):
-        lo, hi = plan.levels[i], plan.levels[i + 1]
-        clauses.append(
-            Clause(
-                f"circle {i + 1} at midpoint of ({lo:.6g}, {hi:.6g})",
-                lo < mid < hi and abs(mid - 0.5 * (lo + hi)) < 1e-12,
-                mid,
-                0.5 * (lo + hi),
-            )
-        )
-        clauses.append(Clause(f"circle {i + 1} linking sign", sign in (-1, 1), sign))
-    return ConstraintReport(clauses=tuple(clauses))
+    return CirclePlan(signs=signs, d=sum(signs))
 
 
 def e_decomposition(g: int, m: int) -> tuple[int, int, int, int, int]:

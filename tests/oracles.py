@@ -269,6 +269,11 @@ def in_integer_column_span(A, b) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def uniform_levels_reference(n: int) -> tuple[float, ...]:
+    """The n + 1 levels 0.9 + 0.1 i / n of a plan with n circles."""
+    return tuple(0.9 + 0.1 * i / n for i in range(n + 1))
+
+
 def brute_force_plans(max_total: int = 24, tight: bool = False) -> dict:
     """Best (p, q, r, s) for every reachable (delta_tb, delta_rot).
 
@@ -341,6 +346,32 @@ def phi_jet_spine_everywhere(P, t, rho):
             return G + rho * Ac, rho * Bc, G_t + rho * Ac_t, Ac, rho * Bc_t, Bc
 
     return SpineEverywhere(eps=P.eps, delta=P.delta).phi_jet(t, rho)
+
+
+def twisted_profile_reference(P, rho):
+    """(angle, angle', g1, f1, g1', f1') of the twisted profile, each part
+    from its own formula: the twist sigma = kappa rho + (1 - kappa rho) s
+    with s = smooth_step(rho / RB1), its derivative, the angle
+    arctan(rho) - pi (1 - sigma) and the radius sqrt(1 + rho^2)."""
+    from nearsymp.local_model import smooth_step, smooth_step_d
+
+    rho = np.asarray(rho, dtype=float)
+    s = smooth_step(rho / P.RB1)
+    sd = smooth_step_d(rho / P.RB1) / P.RB1
+    sigma = P.kappa * rho + (1.0 - P.kappa * rho) * s
+    sigma_d = P.kappa * (1.0 - s) + (1.0 - P.kappa * rho) * sd
+    a = np.arctan2(rho, 1.0) - math.pi * (1.0 - sigma)
+    ad = 1.0 / (1.0 + rho**2) + math.pi * sigma_d
+    r = np.sqrt(1.0 + rho**2)
+    rd = rho / r
+    return (
+        a,
+        ad,
+        r * np.cos(a),
+        r * np.sin(a),
+        rd * np.cos(a) - r * ad * np.sin(a),
+        rd * np.sin(a) + r * ad * np.cos(a),
+    )
 
 
 # ---------------------------------------------------------------------------

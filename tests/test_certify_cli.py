@@ -175,6 +175,23 @@ def test_certify_three_plus_ones_passes(three_cp2):
     assert cert.seed == three_cp2.seed
 
 
+def test_certify_genus_100_places_d_plus_two_circles():
+    # the genus-g variant of three_cp2 (c_1 = x0_1 = 1 - 2g) has d = g (g - 1):
+    # d + 2 circles, one at the midpoint of each interval of d + 3 levels
+    g = 100
+    doc = json.loads(fixture_path("three_cp2.json").read_text())
+    doc["surfaces"][0]["genus"] = g
+    doc["spinc"]["c"][0] = doc["spinc"]["x0"][0] = 1 - 2 * g
+    cert = certify(manifold_input_from_dict(doc), run_battery=False)
+    d = g * (g - 1)
+    assert cert.invariants["d"] == d
+    assert len(cert.circle_plan["signs"]) == d + 2
+    assert len(cert.circle_plan["levels"]) == d + 3
+    assert len(cert.circle_plan["circle_levels"]) == d + 2
+    levels = {c.name: c for c in cert.clauses}["one circle per level, at midpoints"]
+    assert levels.passed and levels.kind == "computed"
+
+
 def test_certify_product_configuration_passes():
     mi = parse_input(fixture_path("circle_times_y.json"))
     cert = certify(mi, run_battery=False)

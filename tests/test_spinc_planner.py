@@ -15,11 +15,9 @@ from nearsymp.spinc_planner import (
     cap_corollary_config,
     check_spinc_constraints,
     choose_cocycle,
-    circle_levels,
     compute_d,
     custom_circle_plan,
     e_decomposition,
-    level_schedule_check,
     noextragenus_case,
     plan_circles,
     plumbing_form,
@@ -27,7 +25,7 @@ from nearsymp.spinc_planner import (
 )
 from nearsymp.topo_core import ChainComplex, IntegerCochain, SymmetricForm
 
-from oracles import exhaustive_mod2, in_integer_column_span
+from oracles import exhaustive_mod2, in_integer_column_span, uniform_levels_reference
 
 
 def sphere(sq, cls=(1,), genus=0):
@@ -66,15 +64,13 @@ CONFIG3 = ConfigurationGraph(
 
 
 def test_constraints_pass_on_three_plus_one_framings():
-    report = check_spinc_constraints((1, 3, 3), CONFIG3, Q3)
-    assert report.passed
-    assert all(c.passed for c in report.clauses)
+    clauses = check_spinc_constraints((1, 3, 3), CONFIG3, Q3)
+    assert all(c.passed for c in clauses)
 
 
 def test_constraints_fail_on_wrong_first_pairing():
-    report = check_spinc_constraints((3, 3, 3), CONFIG3, Q3)
-    assert not report.passed
-    failed = next(c for c in report.clauses if not c.passed)
+    clauses = check_spinc_constraints((3, 3, 3), CONFIG3, Q3)
+    failed = next(c for c in clauses if not c.passed)
     assert "Sigma_1" in failed.name
     assert (failed.lhs, failed.rhs) == (3, 1)
 
@@ -84,8 +80,8 @@ def test_constraints_fail_on_degenerate_configuration_form():
         vertices=(SurfaceSpec(genus=0, cls=(0, 1), self_intersection=0),)
     )
     Q = SymmetricForm([[0, 1], [1, 0]])
-    report = check_spinc_constraints((2, 2), config, Q)
-    names = [c.name for c in report.clauses if not c.passed]
+    clauses = check_spinc_constraints((2, 2), config, Q)
+    names = [c.name for c in clauses if not c.passed]
     assert "det(Q_config) != 0" in names
 
 
@@ -98,8 +94,8 @@ def test_constraints_multi_surface_uses_unstabilized_targets():
         ),
         edges=((0, 1),),
     )
-    report = check_spinc_constraints((0, 0), config, Q)
-    assert report.passed
+    clauses = check_spinc_constraints((0, 0), config, Q)
+    assert all(c.passed for c in clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +134,10 @@ def test_plan_circles_sign_sum_and_leading_sign(d):
     assert plan.levels[0] == 0.9
     assert plan.levels[-1] == 1.0
     assert all(a < b for a, b in zip(plan.levels, plan.levels[1:]))
+    assert plan.levels == uniform_levels_reference(len(plan.signs))
+    mids = plan.midpoints
+    assert len(mids) == len(plan.signs)
+    assert all(lo < mid < hi for lo, mid, hi in zip(plan.levels, mids, plan.levels[1:]))
 
 
 def test_custom_circle_plan():
@@ -147,35 +147,25 @@ def test_custom_circle_plan():
 
 
 def test_custom_circle_plan_rejects_bad_first_sign():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="first circle sign must be -1"):
         custom_circle_plan((1,))
 
 
 def test_custom_circle_plan_rejects_bad_entry():
     with pytest.raises(ValueError):
         custom_circle_plan((-1, 2))
+    with pytest.raises(ValueError):
+        custom_circle_plan(())
 
 
 def test_circle_plan_rejects_inconsistent_sum():
     with pytest.raises(ValueError):
-        CirclePlan(signs=(-1, 1), levels=(0.9, 0.95, 1.0), d=5)
+        CirclePlan(signs=(-1, 1), d=5)
 
 
 def test_circle_levels_for_cancelling_pair():
-    mids = circle_levels(plan_circles(0))
+    mids = plan_circles(0).midpoints
     assert max(abs(a - b) for a, b in zip(mids, (0.925, 0.975))) < 1e-12
-
-
-def test_level_schedule_check_passes():
-    assert level_schedule_check(plan_circles(0)).passed
-    plan = plan_circles(-2)
-    assert plan.signs == (-1, -1)
-    assert level_schedule_check(plan).passed
-
-
-def test_level_schedule_vacuous_for_empty_plan():
-    empty = CirclePlan(signs=(), levels=(), d=0)
-    assert level_schedule_check(empty).passed
 
 
 # ---------------------------------------------------------------------------
