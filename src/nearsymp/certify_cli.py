@@ -69,8 +69,10 @@ def _strict(value):
 
 
 def _dumps(doc) -> str:
-    """The layout of every JSON file the CLI writes."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The layout of every JSON file the CLI writes: one line with sorted
+    keys and no spaces, on the json module's C encoder (an indent makes
+    CPython fall back to its pure-Python encoder)."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 class CertifyError(Exception):
@@ -882,10 +884,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_matrix(arg: str) -> SymmetricForm:
-    text = arg
-    path = Path(arg)
-    if path.exists():
-        text = path.read_text()
+    # JSON text starts with [ or {; anything else names a file
+    if arg.lstrip().startswith(("[", "{")):
+        text = arg
+    else:
+        try:
+            text = Path(arg).read_text()
+        except OSError as exc:
+            raise CertifyError("matrix", f"not JSON text and not a readable file: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

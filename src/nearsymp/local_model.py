@@ -307,13 +307,11 @@ class ProfileCurve:
         """Evaluate phi = (g, f); accepts scalars or numpy arrays."""
         return self.phi_jet(t, rho)[:2]
 
-    def phi_jet(self, t, rho):
-        """phi = (u, v) = (g, f) with its partials: (u, v, u_t, u_rho, v_t,
-        v_rho), t broadcast against rho.  Each partial is the chain rule
-        through the same zones and blends as the value."""
-        t = np.asarray(t, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        bu, bv, bu_t, bu_r, bv_t, bv_r = self._base(t, rho)
+    def _polar(self, t, rho, base, th_wall, th_wall_r):
+        """(pu, pv, lam_t, lam_r, th_t, th_r) of the polar zone: the base's
+        log-polar coordinates blended into the standard ones across rho and
+        into the twisted wall's angle across t."""
+        bu, bv, bu_t, bu_r, bv_t, bv_r = base
         n2 = bu * bu + bv * bv
         lam_base = 0.5 * np.log(n2)
         th_base = np.arctan2(bv, bu)
@@ -335,7 +333,6 @@ class ProfileCurve:
         tm_t = (1 - s) * tb_t
         tm_r = (1 - s) * tb_r + s * ts_r + s_r * (th_std - th_base)
         w, w_t = _blend(t, self.T2, self.T3)
-        th_wall, th_wall_r = self._twist(rho)
         lam = (1 - w) * lam_mid + w * lam_std
         th = (1 - w) * th_mid + w * th_wall
         lam_t = (1 - w) * lm_t + w + w_t * (lam_std - lam_mid)
@@ -343,17 +340,39 @@ class ProfileCurve:
         th_t = (1 - w) * tm_t + w_t * (th_wall - th_mid)
         th_r = (1 - w) * tm_r + w * th_wall_r
         radius = np.exp(lam)
-        pu, pv = radius * np.cos(th), radius * np.sin(th)
-        # d(pu + i pv) = (pu + i pv)(dlam + i dth), used in the polar zone below
+        # d(pu + i pv) = (pu + i pv)(dlam + i dth)
+        return radius * np.cos(th), radius * np.sin(th), lam_t, lam_r, th_t, th_r
+
+    def phi_jet(self, t, rho):
+        """phi = (u, v) = (g, f) with its partials: (u, v, u_t, u_rho, v_t,
+        v_rho), t broadcast against rho.  Each partial is the chain rule
+        through the same zones and blends as the value.  A zone's formulas
+        run only when some point of the broadcast input lies in it."""
+        t = np.asarray(t, dtype=float)
+        rho = np.asarray(rho, dtype=float)
+        wall = (t <= self.T0) | (rho >= self.RB1)
+        twisted = t >= self.T3
+        core = (t <= self.T2) & (rho <= self.RB0)
+        inner = ~(wall | twisted)
+        has_twisted = (twisted & ~wall).any()
+        has_core = (inner & core).any()
+        has_polar = (inner & ~core).any()
+        # an absent zone's terms are 0.0, which np.where never picks
+        base = self._base(t, rho) if has_core or has_polar else (0.0,) * 6
+        th_wall, th_wall_r = self._twist(rho) if has_twisted or has_polar else (0.0, 0.0)
+        pu, pv, lam_t, lam_r, th_t, th_r = (
+            self._polar(t, rho, base, th_wall, th_wall_r) if has_polar else (0.0,) * 6
+        )
         # exact branches (values agree with the blends, which are flat there;
         # returning the closed forms keeps the walls and the fold zone exact);
         # the fold formula is spelled out verbatim so it is exact to the bit.
         # Its partials (-2 (t-1/2), 1) are the base's own for t >= T1.
-        bu = np.where(t >= self.T1, rho - (t - 0.5) ** 2 + 1 + self.delta, bu)
-        g1, f1, g1_r, f1_r = self._at_twist(rho, th_wall, th_wall_r)
-        wall = (t <= self.T0) | (rho >= self.RB1)
-        twisted = t >= self.T3
-        core = (t <= self.T2) & (rho <= self.RB0)
+        bu, bv, bu_t, bu_r, bv_t, bv_r = base
+        if has_core:
+            bu = np.where(t >= self.T1, rho - (t - 0.5) ** 2 + 1 + self.delta, bu)
+        g1, f1, g1_r, f1_r = (
+            self._at_twist(rho, th_wall, th_wall_r) if has_twisted else (0.0,) * 4
+        )
 
         def zones(on_wall, on_twisted, on_core, polar):
             return np.where(

@@ -29,10 +29,15 @@ def as_int(v) -> int:
     raise ValueError(f"entries must be integers, got {v!r}")
 
 
+def _as_int_vector(v) -> list[int]:
+    """Copy a sequence (or numpy array) into a list of Python ints by the
+    rule of ``as_int``; Python ints, the common case, pass as is."""
+    return [x if type(x) is int else as_int(x) for x in v]
+
+
 def _as_int_matrix(A) -> IntMatrix:
-    """Copy input (nested sequence / numpy array) into lists of Python ints
-    by the rule of ``as_int``; Python ints, the common case, pass as is."""
-    return [[v if type(v) is int else as_int(v) for v in row] for row in A]
+    """``_as_int_vector`` of each row of a nested sequence or numpy array."""
+    return [_as_int_vector(row) for row in A]
 
 
 def _shape(A: IntMatrix) -> tuple[int, int]:
@@ -147,13 +152,12 @@ class SymmetricForm:
                 f"form matrix must be square, got {n} rows of lengths "
                 f"{[len(row) for row in M]}"
             )
-        for i in range(n):
-            for j in range(n):
-                if M[i][j] != M[j][i]:
-                    raise ValueError(
-                        f"form matrix not symmetric at ({i},{j}): "
-                        f"{M[i][j]} != {M[j][i]}"
-                    )
+        if [list(col) for col in zip(*M)] != M:
+            # the first asymmetric entry in row-major order
+            i, j = next((i, j) for i in range(n) for j in range(n) if M[i][j] != M[j][i])
+            raise ValueError(
+                f"form matrix not symmetric at ({i},{j}): {M[i][j]} != {M[j][i]}"
+            )
 
     @property
     def dim(self) -> int:
@@ -265,15 +269,16 @@ def signature(Q: SymmetricForm) -> int:
 
 
 def pairing(c: Sequence[int], a: Sequence[int], Q: SymmetricForm) -> int:
-    """The pairing c^T Q a; with a = c this is the square of the class c."""
+    """The pairing c^T Q a; with a = c this is the square of the class c.
+    Vector entries follow the rule of ``as_int``."""
     if len(c) != Q.dim or len(a) != Q.dim:
         raise ValueError(
             f"dimension mismatch: vectors {len(c)},{len(a)} vs form {Q.dim}"
         )
-    a = [int(v) for v in a]
+    a = _as_int_vector(a)
     return sum(
-        int(ci) * sum(q * aj for q, aj in zip(row, a))
-        for ci, row in zip(c, Q.matrix)
+        ci * sum(map(operator.mul, row, a))
+        for ci, row in zip(_as_int_vector(c), Q.matrix)
         if ci
     )
 
@@ -282,11 +287,12 @@ def is_characteristic(c: Sequence[int], Q: SymmetricForm) -> bool:
     """True iff c pairs with every basis vector like that vector squares, mod 2."""
     if len(c) != Q.dim:
         raise ValueError(f"dimension mismatch: vector {len(c)} vs form {Q.dim}")
-    for i in range(Q.dim):
-        ce = sum(int(c[k]) * Q.matrix[k][i] for k in range(Q.dim))
-        if (ce - Q.matrix[i][i]) % 2 != 0:
-            return False
-    return True
+    c = _as_int_vector(c)
+    # (Qc)_i reads row i, which is column i of the symmetric Q
+    return all(
+        (sum(map(operator.mul, row, c)) - row[i]) % 2 == 0
+        for i, row in enumerate(Q.matrix)
+    )
 
 
 def solve_mod2(A, b) -> Optional[list[int]]:

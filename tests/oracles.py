@@ -235,6 +235,37 @@ def eigenvalue_signature(matrix) -> int:
 # ---------------------------------------------------------------------------
 
 
+def pairing_entrywise(c, a, Q) -> int:
+    """c^T Q a one entry at a time, each vector entry through int()."""
+    a = [int(v) for v in a]
+    return sum(
+        int(ci) * sum(q * aj for q, aj in zip(row, a))
+        for ci, row in zip(c, Q.matrix)
+        if ci
+    )
+
+
+def is_characteristic_entrywise(c, Q) -> bool:
+    """(Qc)_i = Q_ii mod 2 for every i, reading column i of Q one entry at
+    a time, each vector entry through int()."""
+    n = len(Q.matrix)
+    for i in range(n):
+        ce = sum(int(c[k]) * Q.matrix[k][i] for k in range(n))
+        if (ce - Q.matrix[i][i]) % 2 != 0:
+            return False
+    return True
+
+
+def first_asymmetric_entry(M):
+    """The first (i, j) in row-major order with M[i][j] != M[j][i], or None."""
+    n = len(M)
+    for i in range(n):
+        for j in range(n):
+            if M[i][j] != M[j][i]:
+                return i, j
+    return None
+
+
 def exhaustive_mod2(A, b):
     """All-solutions search over GF(2); returns one solution or None."""
     m = len(A)
@@ -346,6 +377,65 @@ def phi_jet_spine_everywhere(P, t, rho):
             return G + rho * Ac, rho * Bc, G_t + rho * Ac_t, Ac, rho * Bc_t, Bc
 
     return SpineEverywhere(eps=P.eps, delta=P.delta).phi_jet(t, rho)
+
+
+def phi_jet_all_zones(P, t, rho):
+    """``P.phi_jet(t, rho)`` with every zone's formulas evaluated at every
+    point, whether or not any point lies in the zone, each output then
+    picked by the same nested np.where."""
+    from nearsymp.local_model import _blend
+
+    t = np.asarray(t, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    bu, bv, bu_t, bu_r, bv_t, bv_r = P._base(t, rho)
+    n2 = bu * bu + bv * bv
+    lam_base = 0.5 * np.log(n2)
+    th_base = np.arctan2(bv, bu)
+    lb_t = (bu * bu_t + bv * bv_t) / n2
+    lb_r = (bu * bu_r + bv * bv_r) / n2
+    tb_t = (bu * bv_t - bv * bu_t) / n2
+    tb_r = (bu * bv_r - bv * bu_r) / n2
+    s, s_r = _blend(rho, P.RB0, P.RB1)
+    th_std = np.arctan2(rho, 1.0)
+    lam_std = t + 0.5 * np.log1p(rho**2)
+    ts_r = 1.0 / (1.0 + rho**2)
+    ls_r = rho * ts_r
+    lam_mid = (1 - s) * lam_base + s * lam_std
+    th_mid = (1 - s) * th_base + s * th_std
+    lm_t = (1 - s) * lb_t + s
+    lm_r = (1 - s) * lb_r + s * ls_r + s_r * (lam_std - lam_base)
+    tm_t = (1 - s) * tb_t
+    tm_r = (1 - s) * tb_r + s * ts_r + s_r * (th_std - th_base)
+    w, w_t = _blend(t, P.T2, P.T3)
+    th_wall, th_wall_r = P._twist(rho)
+    lam = (1 - w) * lam_mid + w * lam_std
+    th = (1 - w) * th_mid + w * th_wall
+    lam_t = (1 - w) * lm_t + w + w_t * (lam_std - lam_mid)
+    lam_r = (1 - w) * lm_r + w * ls_r
+    th_t = (1 - w) * tm_t + w_t * (th_wall - th_mid)
+    th_r = (1 - w) * tm_r + w * th_wall_r
+    radius = np.exp(lam)
+    pu, pv = radius * np.cos(th), radius * np.sin(th)
+    bu = np.where(t >= P.T1, rho - (t - 0.5) ** 2 + 1 + P.delta, bu)
+    g1, f1, g1_r, f1_r = P._at_twist(rho, th_wall, th_wall_r)
+    wall = (t <= P.T0) | (rho >= P.RB1)
+    twisted = t >= P.T3
+    core = (t <= P.T2) & (rho <= P.RB0)
+
+    def zones(on_wall, on_twisted, on_core, polar):
+        return np.where(
+            wall, on_wall, np.where(twisted, on_twisted, np.where(core, on_core, polar))
+        )
+
+    et = np.exp(t)
+    return (
+        zones(et, et * g1, bu, pu),
+        zones(et * rho, et * f1, bv, pv),
+        zones(et, et * g1, bu_t, pu * lam_t - pv * th_t),
+        zones(0.0, et * g1_r, bu_r, pu * lam_r - pv * th_r),
+        zones(et * rho, et * f1, bv_t, pv * lam_t + pu * th_t),
+        zones(et, et * f1_r, bv_r, pv * lam_r + pu * th_r),
+    )
 
 
 def twisted_profile_reference(P, rho):
@@ -519,7 +609,8 @@ def _native(obj):
 
 
 def certificate_json_reference(cert) -> str:
-    """A certificate's JSON text from a plain-Python copy of every field."""
+    """A certificate's JSON text from a plain-Python copy of every field, in
+    the CLI's layout: one line, sorted keys, no spaces."""
     doc = {
         "passed": cert.passed,
         "seed": cert.seed,
@@ -541,4 +632,26 @@ def certificate_json_reference(cert) -> str:
             for c in cert.clauses
         ],
     }
-    return json.dumps(_native(doc), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_native(doc), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def dumps_indented(doc) -> str:
+    """The CLI's earlier JSON layout: a two-space indent, sorted keys and
+    no NaN or Infinity."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def certificate_json_indented(cert) -> str:
+    """A certificate's JSON text as the CLI wrote it in the indented
+    layout: the same document, non-finite battery values as strings."""
+    from nearsymp.certify_cli import _strict
+
+    doc = vars(cert) | {
+        "passed": cert.passed,
+        "local_checks": _strict(cert.local_checks),
+        "clauses": [
+            vars(c) | {"passed": bool(c.passed), "value": _strict(c.value)}
+            for c in cert.clauses
+        ],
+    }
+    return dumps_indented(doc)

@@ -31,7 +31,12 @@ from nearsymp.certify_cli import (
     run_local_battery,
 )
 from nearsymp.spinc_planner import SurfaceSpec
-from oracles import certificate_json_reference, pointwise_identities_loop
+from oracles import (
+    certificate_json_indented,
+    certificate_json_reference,
+    dumps_indented,
+    pointwise_identities_loop,
+)
 
 FIXTURES = ["three_cp2.json", "circle_times_y.json"]
 DATA = Path(__file__).parent / "data"
@@ -329,7 +334,7 @@ def test_certificate_deterministic_with_battery(three_cp2):
     first = certify(fast).to_json()
     second = certify(fast).to_json()
     assert first == second
-    assert '"passed": true' in first
+    assert json.loads(first)["passed"] is True
 
 
 # The exact side of a certificate, pinned byte for byte: <stem>.exact.json
@@ -420,6 +425,37 @@ def test_to_json_matches_the_recursive_copy(three_cp2):
     assert cert.to_json() == certificate_json_reference(cert)
 
 
+@pytest.mark.parametrize("path, battery", [
+    (fixture_path("three_cp2.json"), {"grid": 20}),
+    (fixture_path("circle_times_y.json"), {"grid": 20}),
+    (DATA / "b2_48.json", None),
+    # a failing certificate with non-finite battery values
+    (fixture_path("three_cp2.json"), {"grid": 20, "profile_eps": 1e100}),
+], ids=["three_cp2", "circle_times_y", "b2_48-exact", "eps-1e100"])
+def test_to_json_parses_to_the_indented_document(path, battery):
+    # the layout is one line on the C encoder; the document is the one the
+    # indented layout wrote
+    mi = parse_input(path)
+    with np.errstate(all="ignore"):
+        cert = certify(mi, run_battery=False) if battery is None else certify(
+            dataclasses.replace(mi, **battery)
+        )
+    text = cert.to_json()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == json.loads(certificate_json_indented(cert))
+
+
+def test_local_check_out_parses_to_the_indented_document(tmp_path, capsys):
+    out = tmp_path / "battery.json"
+    assert main(["local-check", "--grid", "20", "--out", str(out)]) == 0
+    capsys.readouterr()
+    mi = ManifoldInput
+    summary, _ = run_local_battery(mi.seed, 20, mi.tolerance, mi.profile_eps, mi.profile_delta)
+    text = out.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == json.loads(dumps_indented(certify_cli._strict(summary)))
+
+
 def _leaves(value):
     if isinstance(value, CertClause):
         value = vars(value)
@@ -496,6 +532,29 @@ def test_cli_signature_from_file(tmp_path, capsys):
     path.write_text('{"matrix": [[1,0],[0,1]]}')
     assert main(["signature", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+@pytest.mark.parametrize("source, code, out, err", [
+    ("inline", 0, "30", ""),
+    ("file", 0, "30", ""),
+    ("unparsable", 2, "", "error: matrix: not valid JSON"),
+])
+def test_cli_signature_reads_json_text_or_a_path(tmp_path, capsys, source, code, out, err):
+    # the 30 x 30 identity is 2760 characters, longer than a file name may be
+    text = json.dumps([[int(i == j) for j in range(30)] for i in range(30)])
+    assert len(text) > 255
+    if source == "file":
+        path = tmp_path / "identity.json"
+        path.write_text(text)
+        arg = str(path)
+    else:
+        arg = text if source == "inline" else text[:-1]
+    assert main(["signature", arg]) == code
+    captured = capsys.readouterr()
+    assert captured.out.strip() == out
+    assert captured.err.startswith(err)
+    assert arg not in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_certify_writes_certificate(tmp_path, capsys):

@@ -36,6 +36,7 @@ from oracles import (
     hodge_star_general,
     hodge_star_scaled,
     metric_factor_reference,
+    phi_jet_all_zones,
     phi_jet_spine_everywhere,
     phi_partials_central,
     smooth_step_where,
@@ -353,9 +354,9 @@ def test_left_rate_equals_full_bisection(eps, delta):
 
 
 def _spine_inputs(curve):
-    """(name, t, rho) cases for the zone-indexed spine: the battery's fold
-    and patch points, uniform t, t in the blend only, the immersion check's
-    blocks and single points."""
+    """(name, t, rho) cases for the zone-indexed spine and the skipped
+    zones: the battery's fold, patch and outer-band points, uniform t, t in
+    the blend only, the immersion check's blocks and single points."""
     rng = np.random.default_rng(17)
     n = 200
     ang = rng.uniform(0, math.pi, n)
@@ -365,12 +366,16 @@ def _spine_inputs(curve):
         ("fold", 0.5 + rad * np.cos(ang), np.abs(rad * np.sin(ang))),
         ("left-patch", rng.uniform(0, curve.T0, n), rho),
         ("twisted-patch", rng.uniform(curve.T3, 1.0, n), rho),
+        ("outer-band", rng.uniform(0, 1, n), rng.uniform(curve.RB1, curve.rho_max, n)),
         ("uniform", rng.uniform(0, 1, n), rho),
         ("blend-only", rng.uniform(curve.T0, curve.T1, n), rho),
         ("zone-edges", np.array([0.0, curve.T0, np.nextafter(curve.T0, 1), curve.T1,
                                  np.nextafter(curve.T1, 1), 1.0]), rho[:6]),
         ("scalar-blend", 0.5 * (curve.T0 + curve.T1), 0.3 * curve.rho_max),
         ("scalar-wall", 0.5 * curve.T0, 0.3 * curve.rho_max),
+        ("scalar-twisted", 0.5 * (curve.T3 + 1.0), 0.3 * curve.rho_max),
+        ("scalar-core", 0.5, 0.5 * curve.RB0),
+        ("scalar-polar", 0.5 * (curve.T2 + curve.T3), 0.5 * (curve.RB0 + curve.RB1)),
     ]
     grid = 150
     t = np.linspace(0.0, 1.0, grid)[:, None]
@@ -395,6 +400,33 @@ def test_phi_jet_matches_the_spine_evaluated_everywhere(eps, delta):
         t = np.asarray(t)
         in_blend += int(((t > curve.T0) & (t <= curve.T1)).sum())
     assert in_blend > 0
+
+
+@pytest.mark.parametrize("eps,delta", IMMERSION_CURVES)
+def test_phi_jet_matches_every_zone_evaluated_everywhere(eps, delta, monkeypatch):
+    # a zone's formulas run only when some point lies in it; the reference
+    # runs every zone at every point and picks by the same np.where
+    curve = ProfileCurve(eps=eps, delta=delta)
+    zone_terms = {"_base", "_twist", "_polar"}
+    calls = []
+
+    def counted(name):
+        method = getattr(ProfileCurve, name)
+        return lambda self, *args: calls.append(name) or method(self, *args)
+
+    for name in zone_terms:
+        monkeypatch.setattr(ProfileCurve, name, counted(name))
+    skipped = set()
+    for name, t, rho in _spine_inputs(curve):
+        calls.clear()
+        got = curve.phi_jet(t, rho)
+        skipped |= zone_terms - set(calls)
+        want = phi_jet_all_zones(curve, t, rho)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+    # the patches and single points leave zones out, so each skip is compared
+    assert skipped == zone_terms
 
 
 def test_curves_share_one_read_only_gauss_legendre_rule():

@@ -3,7 +3,7 @@ characteristic vectors, GF(2) solving."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nearsymp.topo_core import (
@@ -22,7 +22,10 @@ from oracles import (
     det_exact,
     eigenvalue_signature,
     exhaustive_mod2,
+    first_asymmetric_entry,
+    is_characteristic_entrywise,
     matmul,
+    pairing_entrywise,
     recheck_smith,
     signature_fraction,
     smith_normal_form_reference,
@@ -273,6 +276,57 @@ def test_characteristic_dimension_mismatch():
         is_characteristic((1,), SymmetricForm([[1, 0], [0, 1]]))
 
 
+@st.composite
+def forms_and_vectors(draw):
+    """(Q, c, a): a symmetric n x n integer matrix with n <= 12 and two
+    vectors, entries up to 10^6 in size; the vectors are tuples of Python
+    ints or numpy int64 arrays."""
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-10**6, 10**6))
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = draw(entry)
+    c, a = (tuple(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(2))
+    # half the time a characteristic c, when Q has one: a solution y of
+    # Q y = diag(Q) mod 2 shifted by even entries
+    y = solve_mod2(M, [M[i][i] for i in range(n)])
+    if y is not None and draw(st.booleans()):
+        c = tuple(yi + 2 * (ci // 2) for yi, ci in zip(y, c))
+    if draw(st.booleans()):
+        c, a = np.array(c, dtype=np.int64), np.array(a, dtype=np.int64)
+    return SymmetricForm(M), c, a
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms_and_vectors())
+def test_pairing_and_characteristic_match_the_entrywise_formulas(case):
+    Q, c, a = case
+    assert pairing(c, a, Q) == pairing_entrywise(c, a, Q)
+    assert pairing(c, c, Q) == pairing_entrywise(c, c, Q)
+    assert type(pairing(c, a, Q)) is int
+    characteristic = is_characteristic(c, Q)
+    assert characteristic == is_characteristic_entrywise(c, Q)
+    event(f"characteristic: {characteristic}")
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.9, -0.5, True, None, "1", float("nan")])
+def test_pairings_reject_what_int_would_truncate(entry):
+    Q = SymmetricForm([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="must be integers"):
+        pairing([entry, 0], [1, 0], Q)
+    with pytest.raises(ValueError, match="must be integers"):
+        pairing([1, 0], [entry, 0], Q)
+    with pytest.raises(ValueError, match="must be integers"):
+        is_characteristic([entry, 1], Q)
+
+
+def test_pairings_accept_integral_floats_and_numpy_ints():
+    Q = SymmetricForm([[1, 0], [0, 1]])
+    assert pairing([3.0, np.int32(1)], np.array([1, 2]), Q) == 5
+    assert is_characteristic(np.array([1, 3], dtype=np.int16), Q)
+
+
 # ---------------------------------------------------------------------------
 # GF(2) solving and coboundaries
 # ---------------------------------------------------------------------------
@@ -334,6 +388,25 @@ def test_coboundary_degree_out_of_range():
 def test_symmetric_form_rejects_asymmetry():
     with pytest.raises(ValueError):
         SymmetricForm([[0, 1], [2, 0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_forms(), st.data())
+def test_asymmetric_form_names_the_first_entry_in_row_major_order(M, data):
+    n = len(M)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        M[i][j] += data.draw(st.integers(1, 5))
+    first = first_asymmetric_entry(M)
+    if first is None:
+        assert SymmetricForm(M).matrix == M
+        return
+    i, j = first
+    with pytest.raises(ValueError) as err:
+        SymmetricForm(M)
+    assert str(err.value) == (
+        f"form matrix not symmetric at ({i},{j}): {M[i][j]} != {M[j][i]}"
+    )
 
 
 def test_symmetric_form_rejects_nonsquare():
