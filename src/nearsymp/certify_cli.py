@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -421,7 +421,10 @@ def run_local_battery(
         ) from None
 
     rng = np.random.default_rng(seed)
-    P = local_model.ProfileCurve(eps=eps, delta=delta)
+    try:
+        P = local_model.ProfileCurve(eps=eps, delta=delta)
+    except ValueError as exc:  # past _check_options, only the spine's limit on delta
+        raise CertifyError("profile_delta", str(exc)) from None
 
     pts = rng.uniform(-1.0, 1.0, size=(samples, 3))
     keep = np.sqrt(4 * pts[:, 0] ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2) >= 1e-3
@@ -585,6 +588,17 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
             s.check_square(Q)
         except ValueError as exc:
             raise CertifyError(f"surfaces[{i}].self_intersection", str(exc)) from exc
+    # each edge is one positive transverse intersection, so two surfaces
+    # share as many edges as their classes pair to
+    surfaces = mi.configuration.vertices
+    for i, j in combinations(range(len(surfaces)), 2):
+        met = mi.configuration.intersection(i, j)
+        paired = topo_core.pairing(surfaces[i].cls, surfaces[j].cls, Q)
+        if met != paired:
+            raise CertifyError(
+                "edges",
+                f"surfaces {i} and {j} share {met} edges, but their classes pair to {paired}",
+            )
     sigma = topo_core.signature(Q)
     snf = topo_core.smith_normal_form(Q.matrix)
     if snf.rank != b2 or any(v != 1 for v in snf.divisors):

@@ -113,23 +113,14 @@ def _blend(x, lo, hi):
     return smooth_step(u), smooth_step_d(u) / width
 
 
-def smooth_bump(u):
-    """C-infinity bump on (0,1), peak value 1 at u = 1/2, flat at the ends."""
-    u = np.clip(u, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        val = np.where(
-            (u > 0) & (u < 1),
-            np.exp(-1.0 / np.maximum(u * (1.0 - u), 1e-300)),
-            0.0,
-        )
-    return val * math.e**4
-
-
 # ---------------------------------------------------------------------------
 # the profile curve
 # ---------------------------------------------------------------------------
 
 _NQUAD = 64
+# the width of each of the left spine's two rate switches; below half of
+# T1 - T0, so they do not overlap
+SPINE_EDGE = 0.03
 
 
 @lru_cache(maxsize=1)
@@ -181,54 +172,42 @@ class ProfileCurve:
         qx, qw = _gauss_legendre()
         object.__setattr__(self, "_qx", qx)
         object.__setattr__(self, "_qw", qw)
-        object.__setattr__(self, "c_left", self._solve_left_rate())
+        # the spine at T1 is G0 + k (G1 - G0), affine in the plateau rate k
+        G0, G1 = self._spine_left(self.T1, 0.0), self._spine_left(self.T1, 1.0)
+        k = float((self.q(self.T1) - G0) / (G1 - G0))
+        if not k > 0:
+            raise ValueError(
+                f"delta = {self.delta} is too small for the left spine to reach "
+                f"q(T1) with a positive rate (plateau rate {k})"
+            )
+        object.__setattr__(self, "plateau_rate", k)
 
     # -- the monotone spine on the left blend zone --------------------------
 
     def q(self, t):
         return 1.0 + self.delta - (np.asarray(t, dtype=float) - 0.5) ** 2
 
-    def _wL(self, t):
-        return smooth_step((np.asarray(t, dtype=float) - self.T0) / (self.T1 - self.T0))
-
-    def _spine_terms(self, t):
-        """(base, bump) of the spine's rate base * exp(c * bump); neither
-        depends on the amplitude c."""
-        w = self._wL(t)
-        base = (1 - w) * np.exp(t) + w * (-2.0) * (t - 0.5)
-        return base, smooth_bump((t - self.T0) / (self.T1 - self.T0))
-
-    @staticmethod
-    def _rate(base, bump, c):
-        return base * np.exp(c * bump)
-
-    def _spine_rate(self, t, c):
-        return self._rate(*self._spine_terms(t), c)
-
-    def _solve_left_rate(self) -> float:
-        """Bump amplitude making the spine integral land exactly on q(T1)."""
-        x = 0.5 * (self.T1 - self.T0) * self._qx + 0.5 * (self.T0 + self.T1)
-        base, bump = self._spine_terms(x)
-        target = self.q(self.T1) - math.exp(self.T0)
-        lo, hi = -30.0, 30.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                # lo and hi are adjacent floats: no later step changes the result
-                break
-            val = 0.5 * (self.T1 - self.T0) * np.sum(self._qw * self._rate(base, bump, mid))
-            if val > target:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    def _spine_left(self, t):
+    def _spine_rate(self, t, k):
+        """The spine's rate at plateau k: e^t switched to k across
+        [T0, T0 + E], k switched to q'(t) = -2 (t - 1/2) across [T1 - E, T1],
+        E = SPINE_EDGE.  Each switch is a convex blend of two values, so the
+        rate is positive wherever k is."""
         t = np.asarray(t, dtype=float)
-        tc = np.clip(t, self.T0, self.T1)
-        x = 0.5 * (tc[..., None] - self.T0) * self._qx + 0.5 * (tc[..., None] + self.T0)
-        rate = self._spine_rate(x, self.c_left)
-        return math.exp(self.T0) + 0.5 * (tc - self.T0) * np.sum(self._qw * rate, axis=-1)
+        L = smooth_step((t - self.T0) / SPINE_EDGE)
+        R = smooth_step((self.T1 - t) / SPINE_EDGE)
+        return k + (1 - L) * (np.exp(t) - k) + (1 - R) * (-2.0 * (t - 0.5) - k)
+
+    def _spine_left(self, t, k):
+        """The spine e^T0 + integral of the rate at plateau k from T0 to t,
+        t clipped to [T0, T1]: k per unit length on the plateau, exactly,
+        and each switch up to t by the Gauss-Legendre rule."""
+        tc = np.clip(np.asarray(t, dtype=float), self.T0, self.T1)
+        a, b = self.T0 + SPINE_EDGE, self.T1 - SPINE_EDGE
+        G = math.exp(self.T0) + k * (np.clip(tc, a, b) - a)
+        for lo, hi in ((self.T0, np.minimum(tc, a)), (b, np.maximum(tc, b))):
+            x = 0.5 * (hi[..., None] - lo) * self._qx + 0.5 * (hi[..., None] + lo)
+            G = G + 0.5 * (hi - lo) * np.sum(self._qw * self._spine_rate(x, k), axis=-1)
+        return G
 
     # -- cartesian base: wall -> blend -> fold, valid at every rho ----------
 
@@ -244,10 +223,10 @@ class ProfileCurve:
         # the spine's quadrature runs only at the t inside the blend zone
         in_blend = ~left & blend
         G = np.where(left, et, self.q(t))
-        G[in_blend] = self._spine_left(t[in_blend])
+        G[in_blend] = self._spine_left(t[in_blend], self.plateau_rate)
         # the spine's t-derivative is its integrand, the rate
         G_t = np.where(
-            left, et, np.where(blend, self._spine_rate(t, self.c_left), -2.0 * (t - 0.5))
+            left, et, np.where(blend, self._spine_rate(t, self.plateau_rate), -2.0 * (t - 0.5))
         )
         Ac = np.where(left, 0.0, np.where(blend, w, 1.0))
         Ac_t = np.where(left | ~blend, 0.0, w_t)

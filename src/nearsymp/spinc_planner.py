@@ -12,6 +12,7 @@ from .topo_core import (
     ChainComplex,
     IntegerCochain,
     SymmetricForm,
+    as_int,
     coboundary_matrix,
     pairing,
     is_characteristic,
@@ -35,7 +36,7 @@ class SurfaceSpec:
     def __post_init__(self):
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
-        object.__setattr__(self, "cls", tuple(int(v) for v in self.cls))
+        object.__setattr__(self, "cls", tuple(v if type(v) is int else as_int(v) for v in self.cls))
 
     def check_square(self, Q: SymmetricForm) -> None:
         sq = pairing(self.cls, self.cls, Q)

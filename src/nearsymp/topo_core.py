@@ -174,7 +174,7 @@ class IntegerCochain:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(_as_int_vector(self.values)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -300,8 +300,8 @@ def solve_mod2(A, b) -> Optional[list[int]]:
 
     Absence of a solution is a value, not an error.
     """
-    M = [[int(v) % 2 for v in row] for row in A]
-    rhs = [int(v) % 2 for v in b]
+    M = [[v % 2 for v in row] for row in _as_int_matrix(A)]
+    rhs = [v % 2 for v in _as_int_vector(b)]
     m = len(M)
     n = len(M[0]) if M else 0
     if len(rhs) != m:

@@ -354,22 +354,20 @@ def phi_partials_central(P, t, rho, h: float = 1e-6):
 def phi_jet_spine_everywhere(P, t, rho):
     """``P.phi_jet(t, rho)`` with the left spine's quadrature evaluated at
     every t and kept only in the blend zone T0 < t <= T1 by np.where."""
-    from nearsymp.local_model import ProfileCurve, smooth_step_d
+    from nearsymp.local_model import ProfileCurve, _blend
 
     class SpineEverywhere(ProfileCurve):
         def _base(self, t, rho):
             t = np.asarray(t, dtype=float)
             rho = np.asarray(rho, dtype=float)
             et = np.exp(t)
-            w = self._wL(t)
-            w_t = smooth_step_d((t - self.T0) / (self.T1 - self.T0)) / (self.T1 - self.T0)
+            w, w_t = _blend(t, self.T0, self.T1)
             left, blend = t <= self.T0, t <= self.T1
             B = (1 - w) * et + w * (-2.0) * (t - 0.5)
             B_t = (1 - w) * et - w_t * et - 2.0 * w_t * (t - 0.5) - 2.0 * w
-            G = np.where(left, et, np.where(blend, self._spine_left(t), self.q(t)))
-            G_t = np.where(
-                left, et, np.where(blend, self._spine_rate(t, self.c_left), -2.0 * (t - 0.5))
-            )
+            k = self.plateau_rate
+            G = np.where(left, et, np.where(blend, self._spine_left(t, k), self.q(t)))
+            G_t = np.where(left, et, np.where(blend, self._spine_rate(t, k), -2.0 * (t - 0.5)))
             Ac = np.where(left, 0.0, np.where(blend, w, 1.0))
             Ac_t = np.where(left | ~blend, 0.0, w_t)
             Bc = np.where(left, et, np.where(blend, B, -2.0 * (t - 0.5)))

@@ -614,6 +614,16 @@ def test_cli_certify_malformed_input_exits_2(tmp_path, capsys, patch, flags, fie
     assert "Traceback" not in err
 
 
+def test_cli_certify_rejects_a_profile_delta_the_spine_cannot_reach(capsys):
+    # below delta ~ 0.0804 the left spine's plateau rate is not positive
+    code = main(["certify", str(fixture_path("three_cp2.json")), "--profile-delta", "0.05"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: profile_delta: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "overall" not in captured.out
+
+
 def _set_cls(data):
     data["surfaces"][0]["cls"] = 3
 
@@ -628,13 +638,15 @@ def _set_cls(data):
         (lambda d: d["spinc"].update(c=[1, 1.5, 3]), "error: spinc.c[1]:"),
         (lambda d: d.update(two_handle_framings=["1", 1, 1]), "error: two_handle_framings[0]:"),
         (lambda d: d.update(edges=[[0, 7]]), "edges[0]"),
+        # two edges between surfaces whose classes pair to 0
+        (lambda d: d.update(edges=[[0, 1], [0, 1], [1, 2]]), "error: edges: surfaces 0 and 1"),
         (lambda d: d.update(colour="blue"), "colour"),
         (lambda d: d["surfaces"][0].update(self_intersection=2),
          "error: surfaces[0].self_intersection:"),
         (lambda d: d["surfaces"][0].update(genus=-1), "error: surfaces[0].genus:"),
     ],
     ids=["scalar-class", "ragged-form", "null-b1", "fractional-class-entry",
-         "string-framing", "edge-to-missing-surface", "unknown-field",
+         "string-framing", "edge-to-missing-surface", "edges-against-pairings", "unknown-field",
          "wrong-self-intersection", "negative-genus"],
 )
 def test_cli_certify_rejects_malformed_field(tmp_path, capsys, mutate, field):
@@ -1019,7 +1031,8 @@ _RETYPED = [None, True, 0, -1, 2, 2.0, 1.5, "1", [], [1], [[1]], {}]
 _EXTREME = {
     "profile_eps": [1e-300, 1e-3, 2e-3, 0.05, 0.6, 1.0, 30.0, 1e100, 1e155, 0.0, -1.0,
                     math.inf, math.nan],
-    "profile_delta": [1e-300, 1e-9, 0.1, 0.2, 1.0, 1e6, 1e300, 0.0, -0.5, math.inf, math.nan],
+    "profile_delta": [1e-300, 1e-9, 0.05, 0.08, 0.1, 0.2, 1.0, 1e6, 1e300, 0.0, -0.5, math.inf,
+                      math.nan],
     "tolerance": [0.0, 1e-300, 1e-9, 1.0, 1e300, -1.0, math.inf, math.nan],
 }
 

@@ -331,26 +331,19 @@ def test_phi_jet_matches_central_differences(eps, delta):
     assert np.all(np.abs(jet - reference) <= 1e-6 * scale)
 
 
-def _left_rate_full_bisection(curve):
-    """All 200 bisection steps of the spine's bump amplitude, never stopping early."""
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    x = 0.5 * (curve.T1 - curve.T0) * nodes + 0.5 * (curve.T0 + curve.T1)
-    target = curve.q(curve.T1) - math.exp(curve.T0)
-    lo, hi = -30.0, 30.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = 0.5 * (curve.T1 - curve.T0) * np.sum(weights * curve._spine_rate(x, mid))
-        if val > target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-@pytest.mark.parametrize("eps,delta", IMMERSION_CURVES + [(2.0, 0.05), (1.0, 1.0)])
-def test_left_rate_equals_full_bisection(eps, delta):
+@pytest.mark.parametrize("eps", [0.6, 1.0, 1.5])
+@pytest.mark.parametrize("delta", [0.081, 0.1, 0.11, 0.1325, 0.2, 0.3, 1.0])
+def test_left_spine_lands_on_the_fold_with_a_positive_rate(eps, delta):
+    # a bisected exp-bump spine missed q(T1) by 0.0325 at delta = 0.1
     curve = ProfileCurve(eps=eps, delta=delta)
-    assert curve.c_left == _left_rate_full_bisection(curve)
+    k = curve.plateau_rate
+    q1 = float(curve.q(curve.T1))
+    assert abs(float(curve._spine_left(curve.T1, k)) - q1) <= 4 * np.spacing(q1)
+    rho = 0.5 * curve.RB0
+    before = np.array(curve.phi(np.nextafter(curve.T1, 0.0), rho))
+    at = np.array(curve.phi(curve.T1, rho))
+    assert np.abs(before - at).max() <= 1e-12
+    assert curve._spine_rate(np.linspace(curve.T0, curve.T1, 10_000), k).min() > 0
 
 
 def _spine_inputs(curve):
@@ -446,6 +439,9 @@ def test_profile_curve_rejects_bad_parameters():
         ProfileCurve(eps=0.0)
     with pytest.raises(ValueError):
         ProfileCurve(delta=-1.0)
+    # below delta ~ 0.0804 the spine's plateau rate is not positive
+    with pytest.raises(ValueError, match="left spine"):
+        ProfileCurve(delta=0.08)
 
 
 # ---------------------------------------------------------------------------

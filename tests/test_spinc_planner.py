@@ -32,6 +32,18 @@ def sphere(sq, cls=(1,), genus=0):
     return SurfaceSpec(genus=genus, cls=cls, self_intersection=sq)
 
 
+@pytest.mark.parametrize("entry", [1.5, 2.9, True, None])
+def test_surface_class_rejects_what_int_would_truncate(entry):
+    # int() made SurfaceSpec(0, (1.5,), 1).cls read (1,)
+    with pytest.raises(ValueError, match="must be integers"):
+        SurfaceSpec(genus=0, cls=(1, entry), self_intersection=1)
+
+
+def test_surface_class_accepts_integral_floats_and_numpy_ints():
+    cls = SurfaceSpec(genus=0, cls=(1, 2.0, np.int32(-3)), self_intersection=1).cls
+    assert cls == (1, 2, -3) and all(type(v) is int for v in cls)
+
+
 # ---------------------------------------------------------------------------
 # adjunction targets
 # ---------------------------------------------------------------------------

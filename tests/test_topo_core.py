@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nearsymp.topo_core import (
     ChainComplex,
+    IntegerCochain,
     SymmetricForm,
     coboundary_matrix,
     euler_characteristic,
@@ -427,6 +428,24 @@ def test_integer_entries_accept_integral_floats_and_numpy_ints():
     assert SymmetricForm([[2.0, 1], [1.0, np.int64(1)]]).matrix == Q.matrix == [[2, 1], [1, 1]]
     assert all(type(v) is int for row in Q.matrix for v in row)
     assert ChainComplex((1.0, 0, np.int32(3), 0, 1)).cells_per_degree == (1, 0, 3, 0, 1)
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.9, True, None])
+def test_cochains_and_mod2_solving_reject_what_int_would_truncate(entry):
+    # int() made IntegerCochain((1.5, True, 2.9)) read (1, 1, 2) and
+    # solve_mod2([[1]], [1.5]) return [1]
+    with pytest.raises(ValueError, match="must be integers"):
+        IntegerCochain((1, entry, 3))
+    with pytest.raises(ValueError, match="must be integers"):
+        solve_mod2([[1, 0], [0, entry]], [1, 0])
+    with pytest.raises(ValueError, match="must be integers"):
+        solve_mod2([[1, 0], [0, 1]], [1, entry])
+
+
+def test_cochains_and_mod2_solving_accept_integral_floats_and_numpy_ints():
+    values = IntegerCochain((1, 2.0, np.int64(-3))).values
+    assert values == (1, 2, -3) and all(type(v) is int for v in values)
+    assert solve_mod2([[1.0, 0], [0, np.int8(3)]], [np.int64(5), 2.0]) == [1, 0]
 
 
 def test_symmetric_form_determinant():
