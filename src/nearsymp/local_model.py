@@ -79,9 +79,9 @@ def form_matrix(components) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def smooth_step(u):
-    """C-infinity step: 0 for u <= 0, 1 for u >= 1, strictly increasing
-    in between, flat to all orders at both ends."""
+def _step_terms(u):
+    """u clamped to [0, 1] and the two exponentials a = exp(-1/u),
+    b = exp(-1/(1 - u)) of smooth_step."""
     # every divisor is at least 1e-300 and every exp argument is <= 0, so
     # nothing here divides by zero or overflows; at the clamped ends the
     # argument is -1e300, whose exp is exactly 0.0, so a = 0 at u = 0 and
@@ -89,28 +89,26 @@ def smooth_step(u):
     u = np.minimum(np.maximum(u, 0.0), 1.0)
     a = np.exp(-1.0 / np.maximum(u, 1e-300))
     b = np.exp(-1.0 / np.maximum(1.0 - u, 1e-300))
+    return u, a, b
+
+
+def smooth_step(u):
+    """C-infinity step: 0 for u <= 0, 1 for u >= 1, strictly increasing
+    in between, flat to all orders at both ends."""
+    _, a, b = _step_terms(u)
     return a / (a + b)
-
-
-def smooth_step_d(u):
-    """Derivative of smooth_step."""
-    u = np.asarray(u, dtype=float)
-    inside = (u > 0) & (u < 1)
-    uc = np.clip(u, 1e-12, 1 - 1e-12)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.exp(-1.0 / uc)
-        b = np.exp(-1.0 / (1.0 - uc))
-        da = a / uc**2
-        db = -b / (1.0 - uc) ** 2
-        val = (da * b - a * db) / (a + b) ** 2
-    return np.where(inside, val, 0.0)
 
 
 def _blend(x, lo, hi):
     """The smooth_step weight from 0 at x = lo to 1 at x = hi, and its x-derivative."""
     width = hi - lo
-    u = (x - lo) / width
-    return smooth_step(u), smooth_step_d(u) / width
+    u, a, b = _step_terms((x - lo) / width)
+    s = a / (a + b)
+    # s' = s b/(a + b) (1/u^2 + 1/(1 - u)^2).  b/(a + b), not 1 - s, which
+    # cancels near u = 1.  The clamp keeps both squares finite; outside
+    # (0, 1) s or b is exactly 0.0, so s' is too
+    u = np.minimum(np.maximum(u, 1e-100), 1.0 - 2.0**-53)
+    return s, s * (b / (a + b)) * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2) / width
 
 
 # ---------------------------------------------------------------------------
@@ -583,23 +581,18 @@ def d_omega_numeric(
     h: float,
 ) -> tuple[float, float, float, float]:
     """Central-difference exterior derivative: the four components of dw on
-    the coordinate triples (012), (013), (023), (123)."""
+    the coordinate triples (012), (013), (023), (123), from one field call
+    at each of the eight points pt +- h e_a."""
     if h <= 0:
         raise ValueError("step must be positive")
-    base = list(pt.coords)
-
-    def comp(coords, a, b):
-        return field_fn(tuple(coords))[_PAIR_INDEX[(a, b)]]
-
-    def partial(a, bc):
-        plus = list(base)
-        minus = list(base)
+    d = []  # d[a][k]: the a-th partial of component k
+    for a in range(4):
+        plus, minus = list(pt.coords), list(pt.coords)
         plus[a] += h
         minus[a] -= h
-        return (comp(plus, *bc) - comp(minus, *bc)) / (2.0 * h)
-
-    out = []
-    for (a, b, c) in _TRIPLES:
-        val = partial(a, (b, c)) - partial(b, (a, c)) + partial(c, (a, b))
-        out.append(val)
-    return tuple(out)
+        p, m = field_fn(tuple(plus)), field_fn(tuple(minus))
+        d.append([(pk - mk) / (2.0 * h) for pk, mk in zip(p, m)])
+    ix = _PAIR_INDEX
+    return tuple(
+        d[a][ix[b, c]] - d[b][ix[a, c]] + d[c][ix[a, b]] for a, b, c in _TRIPLES
+    )

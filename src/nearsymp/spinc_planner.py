@@ -81,8 +81,9 @@ class CirclePlan:
     d: int
 
     def __post_init__(self):
-        signs = tuple(int(s) for s in self.signs)
+        signs = tuple(as_int(s) for s in self.signs)
         object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "d", as_int(self.d))
         if not signs:
             raise ValueError("need at least one circle sign")
         if any(s not in (-1, 1) for s in signs):
@@ -149,13 +150,14 @@ def check_spinc_constraints(
         )
     clauses.append(Clause("c characteristic", is_characteristic(c, Q)))
     Qc = plumbing_form(config)
-    clauses.append(Clause("det(Q_config) != 0", Qc.det() != 0, Qc.det(), "nonzero"))
+    det = Qc.det()
+    clauses.append(Clause("det(Q_config) != 0", det != 0, det, "nonzero"))
     if len(config.vertices) == 1:
         m = config.vertices[0].self_intersection
         clauses.append(Clause("surface square positive", m > 0, m, "> 0"))
     else:
-        for i in range(len(config.vertices)):
-            rowsum = sum(config.intersection(i, j) for j in range(len(config.vertices)))
+        for i, row in enumerate(Qc.matrix):
+            rowsum = sum(row)
             clauses.append(
                 Clause(f"row sum positive at surface {i + 1}", rowsum > 0, rowsum, "> 0")
             )
@@ -190,7 +192,7 @@ def plan_circles(d: int) -> CirclePlan:
 
 def custom_circle_plan(signs: Sequence[int]) -> CirclePlan:
     """Any sign sequence works, provided it starts with -1."""
-    signs = tuple(int(s) for s in signs)
+    signs = tuple(as_int(s) for s in signs)
     return CirclePlan(signs=signs, d=sum(signs))
 
 
@@ -202,13 +204,6 @@ def e_decomposition(g: int, m: int) -> tuple[int, int, int, int, int]:
     if g < 0:
         raise ValueError("genus must be non-negative")
     return (1, 2 * g + m - 1, m, 0, 0)
-
-
-def stabilized_surface_genus(g: int) -> int:
-    """Genus after connect-summing the surface with one standard torus."""
-    if g < 0:
-        raise ValueError("genus must be non-negative")
-    return g + 1
 
 
 def plumbing_form(config: ConfigurationGraph) -> SymmetricForm:

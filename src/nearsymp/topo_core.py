@@ -126,14 +126,23 @@ class ChainComplex:
             raise ValueError(
                 f"cell counts must be non-negative, got {list(self.cells_per_degree)}"
             )
-        bnd = {int(k): _as_int_matrix(v) for k, v in self.boundary.items()}
+        cells = self.cells_per_degree
+        bnd = {}
+        for key, v in self.boundary.items():
+            if type(key) is bool or key not in range(1, 5):
+                raise ValueError(f"boundary degree must be an integer 1..4, got {key!r}")
+            k = as_int(key)
+            M = _as_int_matrix(v)
+            if len(M) != cells[k - 1] or any(len(row) != cells[k] for row in M):
+                raise ValueError(
+                    f"boundary[{k}] must be {cells[k - 1]} x {cells[k]}, "
+                    f"got {len(M)} rows of lengths {[len(row) for row in M]}"
+                )
+            bnd[k] = M
         # materialize zero matrices for degrees the caller omitted
         for k in range(1, 5):
             if k not in bnd:
-                bnd[k] = [
-                    [0] * self.cells_per_degree[k]
-                    for _ in range(self.cells_per_degree[k - 1])
-                ]
+                bnd[k] = [[0] * cells[k] for _ in range(cells[k - 1])]
         object.__setattr__(self, "boundary", bnd)
 
 

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -439,13 +440,12 @@ def phi_jet_all_zones(P, t, rho):
 def twisted_profile_reference(P, rho):
     """(angle, angle', g1, f1, g1', f1') of the twisted profile, each part
     from its own formula: the twist sigma = kappa rho + (1 - kappa rho) s
-    with s = smooth_step(rho / RB1), its derivative, the angle
-    arctan(rho) - pi (1 - sigma) and the radius sqrt(1 + rho^2)."""
-    from nearsymp.local_model import smooth_step, smooth_step_d
+    with s = smooth_step(rho / RB1) and its derivative from ``_blend``, the
+    angle arctan(rho) - pi (1 - sigma) and the radius sqrt(1 + rho^2)."""
+    from nearsymp.local_model import _blend
 
     rho = np.asarray(rho, dtype=float)
-    s = smooth_step(rho / P.RB1)
-    sd = smooth_step_d(rho / P.RB1) / P.RB1
+    s, sd = _blend(rho, 0.0, P.RB1)
     sigma = P.kappa * rho + (1.0 - P.kappa * rho) * s
     sigma_d = P.kappa * (1.0 - s) + (1.0 - P.kappa * rho) * sd
     a = np.arctan2(rho, 1.0) - math.pi * (1.0 - sigma)
@@ -547,6 +547,38 @@ def smooth_step_where(u):
     a = np.where(u > 0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
     b = np.where(u < 1, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
     return a / (a + b)
+
+
+def smooth_step_derivative_decimal(u: float) -> Decimal:
+    """s'(u) = a b (1/u^2 + 1/(1 - u)^2) / (a + b)^2 with a = exp(-1/u),
+    b = exp(-1/(1 - u)), in 50-digit decimal at the exact value of u."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        u, one = Decimal(u), Decimal(1)
+        a, b = (-one / u).exp(), (-one / (one - u)).exp()
+        return a * b * (one / u**2 + one / (one - u) ** 2) / (a + b) ** 2
+
+
+def d_omega_numeric_reference(field_fn, pt, h: float):
+    """Central-difference exterior derivative on the triples (012), (013),
+    (023), (123), with a fresh pair of field calls for every partial of
+    every triple: 24 calls per point."""
+    from nearsymp.local_model import _BASIS_PAIRS
+
+    index = {p: i for i, p in enumerate(_BASIS_PAIRS)}
+    base = list(pt.coords)
+
+    def partial(a, b, c):
+        plus, minus = list(base), list(base)
+        plus[a] += h
+        minus[a] -= h
+        k = index[(b, c)]
+        return (field_fn(tuple(plus))[k] - field_fn(tuple(minus))[k]) / (2.0 * h)
+
+    return tuple(
+        partial(a, b, c) - partial(b, a, c) + partial(c, a, b)
+        for a, b, c in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    )
 
 
 def pointwise_identities_loop(seed: int, samples: int) -> dict:

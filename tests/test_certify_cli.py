@@ -624,6 +624,21 @@ def test_cli_certify_rejects_a_profile_delta_the_spine_cannot_reach(capsys):
     assert "overall" not in captured.out
 
 
+def test_cli_certify_rejects_a_two_handle_target_of_odd_tb_plus_rot(tmp_path, capsys):
+    # x0 = (2, 1, 1) keeps c characteristic, but handle 1's target (tb, rot)
+    # = (2, 2) lies an odd tb + rot step from the unknot's (-1, 0)
+    data = json.loads(fixture_path("three_cp2.json").read_text())
+    data["spinc"]["x0"] = [2, 1, 1]
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(data))
+    assert main(["certify", str(path), "--grid", "20"]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: two-handle 1 parity: ")
+    assert "Traceback" not in captured.err
+    assert "overall" not in captured.out
+
+
 def _set_cls(data):
     data["surfaces"][0]["cls"] = 3
 

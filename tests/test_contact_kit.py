@@ -155,6 +155,15 @@ def test_total_obstruction():
     assert total_obstruction((-1,), 0) == 1
 
 
+@pytest.mark.parametrize("entry", [1.7, True, None])
+def test_total_obstruction_rejects_what_int_would_truncate(entry):
+    # int() made total_obstruction([-1.5, 1.7], 0) read 0
+    with pytest.raises(ValueError, match="must be integers"):
+        total_obstruction((-1, entry), 0)
+    with pytest.raises(ValueError, match="must be integers"):
+        total_obstruction((-1, 1), entry)
+
+
 def test_two_cancelling_circles_theta_sum():
     # lk -1 gives theta +1/2, lk +1 gives theta -3/2; together -1, the cost
     # of two standard ball extensions at -1/2 each

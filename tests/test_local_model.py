@@ -2,6 +2,7 @@
 the model 2-form, compatibility and Hodge stars."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nearsymp.local_model import (
     CYLINDRICAL,
     ChartPoint,
     ProfileCurve,
+    _blend,
     contact_positivity,
     contact_profile,
     d_omega_numeric,
@@ -26,12 +28,12 @@ from nearsymp.local_model import (
     omega_near_Z,
     phi_immersion_check,
     smooth_step,
-    smooth_step_d,
     wedge_square,
 )
 
 from oracles import (
     J_near_reference,
+    d_omega_numeric_reference,
     form_matrix_loop,
     hodge_star_general,
     hodge_star_scaled,
@@ -39,6 +41,7 @@ from oracles import (
     phi_jet_all_zones,
     phi_jet_spine_everywhere,
     phi_partials_central,
+    smooth_step_derivative_decimal,
     smooth_step_where,
     twisted_profile_reference,
 )
@@ -107,9 +110,40 @@ def test_smooth_step_derivative_matches_finite_differences():
     h = 1e-6
     for u in (0.2, 0.5, 0.8):
         fd = (smooth_step(u + h) - smooth_step(u - h)) / (2 * h)
-        assert abs(smooth_step_d(u) - fd) < 1e-6
-    assert smooth_step_d(-0.5) == 0.0
-    assert smooth_step_d(1.5) == 0.0
+        assert abs(_blend(u, 0.0, 1.0)[1] - fd) < 1e-6
+    assert _blend(-0.5, 0.0, 1.0)[1] == 0.0
+    assert _blend(1.5, 0.0, 1.0)[1] == 0.0
+
+
+def test_blend_derivative_matches_a_50_digit_reference():
+    # 1 - s in place of b/(a + b) cancels near u = 1 and misses this by 5e-6
+    u = np.concatenate([
+        np.linspace(0.0, 1.0, 2001)[1:-1],
+        10.0 ** -np.arange(1, 16),
+        1.0 - 10.0 ** -np.arange(1, 16),
+    ])
+    got = _blend(u, 0.0, 1.0)[1]
+    checked = 0
+    for ui, gi in zip(u.tolist(), got.tolist()):
+        want = smooth_step_derivative_decimal(ui)
+        if want > Decimal("1e-8"):
+            assert abs(Decimal(gi) - want) <= Decimal("1e-13") * want, ui
+            checked += 1
+    assert checked > 1500
+    assert _blend(0.0, 0.0, 1.0)[1] == _blend(1.0, 0.0, 1.0)[1] == 0.0
+
+
+def test_blend_raises_no_floating_point_error_and_is_flat_outside_the_step():
+    u = np.array([
+        -math.inf, -1.0, 0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0, 2.0, math.inf,
+    ])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        s, s_u = _blend(u, 0.0, 1.0)
+        scalar = [_blend(v, 0.0, 1.0) for v in u.tolist()]
+    assert np.array_equal(np.array(scalar), np.stack([s, s_u], axis=1))
+    assert np.all(np.isfinite(s_u))
+    assert np.all(s_u[(u <= 0.0) | (u >= 1.0)] == 0.0)
+    assert s_u[5] == 2.0  # s' = s (1 - s) (4 + 4) at u = 1/2
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +781,31 @@ def test_d_omega_detects_non_closed_form():
         1e-3,
     )
     assert abs(abs(res[0]) - 1.0) < 1e-9
+
+
+def nonlinear_field(c):
+    T, x, y, lam = c
+    return (
+        math.sin(T * x), x * y * y, math.exp(y) * T,
+        math.cos(x + lam), T**3 - y * lam, x * math.exp(-T * T),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.floats(-2.0, 2.0)] * 4), st.sampled_from([1e-3, 1e-5, 0.1]))
+def test_d_omega_makes_eight_field_calls_and_matches_the_reference_bit_for_bit(coords, h):
+    pt = ChartPoint(CARTESIAN, coords)
+    for field in (omega_field, nonlinear_field):
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return field(c)
+
+        got = d_omega_numeric(counted, pt, h)
+        assert len(calls) == 8
+        want = d_omega_numeric_reference(field, pt, h)
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
 
 
 def test_d_omega_rejects_bad_step():

@@ -21,7 +21,6 @@ from nearsymp.spinc_planner import (
     noextragenus_case,
     plan_circles,
     plumbing_form,
-    stabilized_surface_genus,
 )
 from nearsymp.topo_core import ChainComplex, IntegerCochain, SymmetricForm
 
@@ -170,6 +169,25 @@ def test_custom_circle_plan_rejects_bad_entry():
         custom_circle_plan(())
 
 
+@pytest.mark.parametrize("entry", [-1.5, 1.2, True, None])
+def test_circle_signs_reject_what_int_would_truncate(entry):
+    # int() made custom_circle_plan([-1.5, 1.2]) read (-1, 1) and
+    # CirclePlan(signs=(-1.0, True), d=0) pass
+    with pytest.raises(ValueError, match="must be integers"):
+        custom_circle_plan((-1, entry))
+    with pytest.raises(ValueError, match="must be integers"):
+        CirclePlan(signs=(-1, entry), d=0)
+    with pytest.raises(ValueError, match="must be integers"):
+        CirclePlan(signs=(-1, 1), d=entry)
+
+
+def test_circle_plan_converts_integral_floats_and_numpy_ints():
+    plan = CirclePlan(signs=(-1.0, np.int64(1)), d=0.0)
+    assert plan == CirclePlan(signs=(-1, 1), d=0)
+    assert all(type(v) is int for v in (*plan.signs, plan.d))
+    assert custom_circle_plan(np.array([-1, -1])).d == -2
+
+
 def test_circle_plan_rejects_inconsistent_sum():
     with pytest.raises(ValueError):
         CirclePlan(signs=(-1, 1), d=5)
@@ -191,13 +209,6 @@ def test_e_decomposition():
     assert e_decomposition(1, 1) == (1, 2, 1, 0, 0)
     with pytest.raises(ValueError):
         e_decomposition(0, 0)
-
-
-def test_stabilized_surface_genus():
-    assert stabilized_surface_genus(0) == 1
-    assert stabilized_surface_genus(5) == 6
-    # the extra torus raises the unstabilized target to the stabilized one
-    assert adjunction_target(stabilized_surface_genus(0), 1, False) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,27 @@ def test_coboundary_zero():
     assert coboundary_matrix(C, 1) == [[0, 0], [0, 0]]
 
 
+def test_chain_complex_rejects_a_boundary_of_the_wrong_shape():
+    # d2 maps 1 two-cell to 2 one-cells, so it is 2 x 1, not 1 x 1
+    with pytest.raises(ValueError, match=r"boundary\[2\] must be 2 x 1"):
+        ChainComplex((1, 2, 1, 0, 0), boundary={2: [[1]]})
+    with pytest.raises(ValueError, match=r"boundary\[2\] must be 2 x 1"):
+        ChainComplex((1, 2, 1, 0, 0), boundary={2: [[1], [0, 1]]})
+
+
+@pytest.mark.parametrize("key", [2.7, 9, 0, -1, True, "2", None])
+def test_chain_complex_rejects_a_boundary_degree_outside_1_to_4(key):
+    # int() read the key 2.7 as 2, and the key 9 was kept unused
+    with pytest.raises(ValueError, match=f"boundary degree must be an integer 1..4, got {key!r}"):
+        ChainComplex((1, 2, 1, 0, 0), boundary={key: [[1], [0]]})
+
+
+def test_chain_complex_converts_integral_boundary_degrees():
+    C = ChainComplex((1, 2, 1, 0, 0), boundary={2.0: [[1], [0]], np.int64(1): [[0, 0]]})
+    assert C.boundary == {1: [[0, 0]], 2: [[1], [0]], 3: [[]], 4: []}
+    assert all(type(k) is int for k in C.boundary)
+
+
 def test_coboundary_degree_out_of_range():
     with pytest.raises(ValueError):
         coboundary_matrix(ChainComplex((1, 0, 0, 0, 0)), 4)
