@@ -172,7 +172,10 @@ def _list(value, path: str) -> list:
 
 
 def _ints(value, path: str) -> tuple[int, ...]:
-    return tuple(_int(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path)))
+    value = _list(value, path)
+    if all(type(v) is int for v in value):
+        return tuple(value)
+    return tuple(_int(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
 def _number(value, path: str) -> float:
@@ -203,7 +206,7 @@ def manifold_input_from_dict(data: dict) -> ManifoldInput:
         square = _int(s["self_intersection"], f"{path}.self_intersection")
         try:
             surfaces.append(SurfaceSpec(genus=genus, cls=cls, self_intersection=square))
-        except ValueError as exc:  # the only check SurfaceSpec makes: the genus
+        except ValueError as exc:  # on these ints, only the genus check can fail
             raise CertifyError(f"{path}.genus", str(exc)) from exc
     edges = _list(data.get("edges", []), "edges")
     edges = [_ints(edge, f"edges[{k}]") for k, edge in enumerate(edges)]

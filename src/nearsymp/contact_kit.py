@@ -63,24 +63,19 @@ class StabilizationPlan:
     def replay(self, start: LegendrianState) -> LegendrianState:
         """Apply the plan via connected sum with the generators.
 
-        Each count is added by binary doubling: the powers gen, gen # gen,
-        ... are built with ``connect_sum`` and the ones the count's bits
-        select are summed in, so a count n costs O(log n) connected sums.
+        By induction on ``connect_sum``'s rule, n copies of a generator
+        (tb, rot) sum to (n*tb + n - 1, n*rot), so each nonzero count
+        costs one connected sum, at most four in all.
         """
         state = start
-        for gen, count in (
+        for gen, n in (
             (GEN_P, self.p),
             (GEN_Q, self.q),
             (GEN_R, self.r),
             (GEN_S, self.s),
         ):
-            power = gen
-            while count:
-                if count & 1:
-                    state = connect_sum(state, power)
-                count >>= 1
-                if count:
-                    power = connect_sum(power, power)
+            if n:
+                state = connect_sum(state, LegendrianState(n * gen.tb + n - 1, n * gen.rot))
         return state
 
 

@@ -34,8 +34,11 @@ class SurfaceSpec:
     self_intersection: int
 
     def __post_init__(self):
-        if self.genus < 0:
+        genus = as_int(self.genus)
+        if genus < 0:
             raise ValueError("genus must be non-negative")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "self_intersection", as_int(self.self_intersection))
         object.__setattr__(self, "cls", tuple(v if type(v) is int else as_int(v) for v in self.cls))
 
     def check_square(self, Q: SymmetricForm) -> None:
@@ -60,10 +63,16 @@ class ConfigurationGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
+        k = len(self.vertices)
         norm = []
-        for (i, j) in self.edges:
+        for edge in self.edges:
+            i, j = (as_int(v) for v in edge)
             if i == j:
                 raise ValueError("edges must join distinct surfaces")
+            if not (0 <= i < k and 0 <= j < k):
+                raise ValueError(
+                    f"edge {tuple(edge)} must join surfaces among 0..{k - 1}"
+                )
             norm.append((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", tuple(norm))
 
@@ -199,6 +208,7 @@ def custom_circle_plan(signs: Sequence[int]) -> CirclePlan:
 def e_decomposition(g: int, m: int) -> tuple[int, int, int, int, int]:
     """Handle counts per index of the standard capping piece: one 0-handle,
     2g + m - 1 one-handles and m two-handles, each framed +1."""
+    g, m = as_int(g), as_int(m)
     if m <= 0:
         raise ValueError("surface square m must be positive")
     if g < 0:

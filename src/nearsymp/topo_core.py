@@ -62,10 +62,29 @@ def _symmetric_bareiss(matrix: IntMatrix) -> tuple[int, int]:
     M[i][i] = 2*M[i][j] nonzero; congruences change neither the signature
     nor the determinant.  A zero remaining block contributes 0 to the
     signature and makes the determinant 0.
+
+    Rows are scaled lazily.  A row whose pivot-column entry f is 0 would
+    only be multiplied by d/prev, so it is left as it is: ``at[a]`` records
+    the pivot value at which row a's stored entries were current, and its
+    true entries are the stored ones times prev/at[a], an exact division
+    because both are minors.  Each pivot brings current only the pivot row
+    and the rows with f != 0, updates the latter among themselves, and
+    scales them by d/prev on the other active columns; on sparse forms
+    most rows are not touched at most pivots.
     """
     M = [list(row) for row in matrix]
+    at = [1] * len(M)
     active = list(range(len(M)))
     sig, prev = 0, 1
+
+    def current(a):  # bring row a's active entries to the scale prev
+        if (s := at[a]) != prev:
+            Ma = M[a]
+            for b in active:
+                if v := Ma[b]:
+                    Ma[b] = v * prev // s
+            at[a] = prev
+
     while active:
         p = next((i for i in active if M[i][i]), None)
         if p is None:
@@ -77,22 +96,39 @@ def _symmetric_bareiss(matrix: IntMatrix) -> tuple[int, int]:
             if pair is None:
                 return sig, 0
             p, j = pair
+            current(p)
+            current(j)
             Mp, Mj = M[p], M[j]
             for b in active:
                 Mp[b] += Mj[b]
             for a in active:
                 M[a][p] += M[a][j]
-        d = M[p][p]
-        sig += 1 if (d > 0) == (prev > 0) else -1
+        # f is read from column p, so the rows it selects are brought
+        # current while p is still active
+        hit = [a for a in active if M[a][p]]
+        for a in hit:
+            current(a)
+        hit.remove(p)
         active.remove(p)
         Mp = M[p]
-        for k, a in enumerate(active):
+        d = Mp[p]
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        for k, a in enumerate(hit):
             Ma = M[a]
             f = Ma[p]
-            for b in active[k:]:
+            for b in hit[k:]:
                 v = (d * Ma[b] - f * Mp[b]) // prev
                 Ma[b] = v
                 M[b][a] = v
+        if d != prev and len(hit) < len(active):
+            rest = [b for b in active if not M[b][p]]
+            for a in hit:
+                Ma = M[a]
+                for b in rest:
+                    if v := Ma[b]:
+                        Ma[b] = v * d // prev
+        for a in hit:
+            at[a] = d
         prev = d
     return sig, prev
 
@@ -279,15 +315,19 @@ def signature(Q: SymmetricForm) -> int:
 
 def pairing(c: Sequence[int], a: Sequence[int], Q: SymmetricForm) -> int:
     """The pairing c^T Q a; with a = c this is the square of the class c.
-    Vector entries follow the rule of ``as_int``."""
+    Vector entries follow the rule of ``as_int``.  Q is symmetric, so
+    c^T Q a = a^T Q c, and the outer sum runs over whichever vector has
+    more zeros: a surface class has a few nonzero entries, c is dense."""
     if len(c) != Q.dim or len(a) != Q.dim:
         raise ValueError(
             f"dimension mismatch: vectors {len(c)},{len(a)} vs form {Q.dim}"
         )
-    a = _as_int_vector(a)
+    c, a = _as_int_vector(c), _as_int_vector(a)
+    if a.count(0) > c.count(0):
+        c, a = a, c
     return sum(
         ci * sum(map(operator.mul, row, a))
-        for ci, row in zip(_as_int_vector(c), Q.matrix)
+        for ci, row in zip(c, Q.matrix)
         if ci
     )
 

@@ -97,6 +97,45 @@ def signature_fraction(matrix) -> int:
     return sig
 
 
+def symmetric_bareiss_reference(matrix) -> tuple[int, int]:
+    """Signature and determinant by eager fraction-free symmetric
+    elimination: the same pivot rule and congruence as the package's
+    ``_symmetric_bareiss``, but every remaining entry is updated at every
+    pivot, so each stored entry is always the current minor."""
+    M = [list(row) for row in matrix]
+    active = list(range(len(M)))
+    sig, prev = 0, 1
+    while active:
+        p = next((i for i in active if M[i][i]), None)
+        if p is None:
+            pair = next(
+                ((i, j) for k, i in enumerate(active)
+                 for j in active[k + 1:] if M[i][j]),
+                None,
+            )
+            if pair is None:
+                return sig, 0
+            p, j = pair
+            Mp, Mj = M[p], M[j]
+            for b in active:
+                Mp[b] += Mj[b]
+            for a in active:
+                M[a][p] += M[a][j]
+        d = M[p][p]
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        active.remove(p)
+        Mp = M[p]
+        for k, a in enumerate(active):
+            Ma = M[a]
+            f = Ma[p]
+            for b in active[k:]:
+                v = (d * Ma[b] - f * Mp[b]) // prev
+                Ma[b] = v
+                M[b][a] = v
+        prev = d
+    return sig, prev
+
+
 @dataclass(frozen=True)
 class SmithReference:
     """A Smith decomposition U*A*V = D with its unimodular transforms."""

@@ -676,6 +676,18 @@ def test_cli_certify_rejects_malformed_field(tmp_path, capsys, mutate, field):
     assert "overall" not in captured.out
 
 
+@pytest.mark.parametrize("entry", [1.5, True])
+def test_cli_certify_names_the_element_of_an_integer_list(tmp_path, capsys, entry):
+    data = json.loads(fixture_path("three_cp2.json").read_text())
+    data["spinc"]["c"][2] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["certify", str(path), "--grid", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: spinc.c[2]: must be an integer")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("b1, b3", [(2, 0), (0, 1)])
 def test_cli_certify_rejects_b1_unequal_b3(tmp_path, capsys, b1, b3):
     # without handle_counts no clause can see the mismatch: b1 = 2, b3 = 0

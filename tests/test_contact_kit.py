@@ -92,6 +92,20 @@ def test_plan_replay_huge_counts():
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 40), st.integers(0, 40), st.integers(0, 40), st.integers(0, 40),
+    st.integers(-50, 50), st.integers(-50, 50),
+)
+def test_plan_replay_equals_successive_connected_sums(p, q, r, s, tb, rot):
+    start = LegendrianState(tb, rot)
+    state = start
+    for gen, n in ((GEN_P, p), (GEN_Q, q), (GEN_R, r), (GEN_S, s)):
+        for _ in range(n):
+            state = connect_sum(state, gen)
+    assert StabilizationPlan(p=p, q=q, r=r, s=s).replay(start) == state
+
+
 BEST_OVERTWISTED = brute_force_plans(max_total=20, tight=False)
 BEST_TIGHT = brute_force_plans(max_total=20, tight=True)
 

@@ -38,6 +38,35 @@ def test_surface_class_rejects_what_int_would_truncate(entry):
         SurfaceSpec(genus=0, cls=(1, entry), self_intersection=1)
 
 
+def test_planner_types_reject_what_int_would_truncate():
+    # each was taken as given: genus 1.5 passed, e_decomposition(1.5, 2)
+    # returned (1, 4.0, 2, 0, 0), and an edge (0, 1.0) to a missing
+    # surface made intersection(0, 1) read 1
+    with pytest.raises(ValueError, match="must be integers"):
+        SurfaceSpec(genus=1.5, cls=(1,), self_intersection=1)
+    with pytest.raises(ValueError, match="must be integers"):
+        SurfaceSpec(genus=0, cls=(1,), self_intersection=True)
+    with pytest.raises(ValueError, match="must be integers"):
+        e_decomposition(1.5, 2)
+    with pytest.raises(ValueError, match="must be integers"):
+        e_decomposition(1, 2.5)
+    with pytest.raises(ValueError, match="must join surfaces among 0..0"):
+        ConfigurationGraph(vertices=(sphere(1, (1,)),), edges=((0, 1.0),))
+    with pytest.raises(ValueError, match="must be integers"):
+        ConfigurationGraph(vertices=(sphere(1, (1, 0)), sphere(1, (0, 1))), edges=((0, 0.5),))
+
+
+def test_planner_types_convert_integral_floats_and_numpy_ints():
+    s = SurfaceSpec(genus=2.0, cls=(1,), self_intersection=np.int64(3))
+    assert (s.genus, s.self_intersection) == (2, 3)
+    assert type(s.genus) is int and type(s.self_intersection) is int
+    assert e_decomposition(np.int32(1), 2.0) == (1, 3, 2, 0, 0)
+    config = ConfigurationGraph(
+        vertices=(sphere(1, (1, 0)), sphere(1, (0, 1))), edges=((np.int8(1), 0.0),)
+    )
+    assert config.edges == ((0, 1),) and all(type(v) is int for v in config.edges[0])
+
+
 def test_surface_class_accepts_integral_floats_and_numpy_ints():
     cls = SurfaceSpec(genus=0, cls=(1, 2.0, np.int32(-3)), self_intersection=1).cls
     assert cls == (1, 2, -3) and all(type(v) is int for v in cls)

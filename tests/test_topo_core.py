@@ -10,6 +10,7 @@ from nearsymp.topo_core import (
     ChainComplex,
     IntegerCochain,
     SymmetricForm,
+    _symmetric_bareiss,
     coboundary_matrix,
     euler_characteristic,
     is_characteristic,
@@ -30,6 +31,7 @@ from oracles import (
     recheck_smith,
     signature_fraction,
     smith_normal_form_reference,
+    symmetric_bareiss_reference,
 )
 
 E8 = [
@@ -184,6 +186,76 @@ def test_signature_and_det_match_fraction_elimination(M):
     Q = SymmetricForm(M)
     assert signature(Q) == signature_fraction(M)
     assert Q.det() == det_exact(M)
+    assert _symmetric_bareiss(M) == symmetric_bareiss_reference(M)
+
+
+# <+1>, <-1>, <+2>, <-2>, <3> and the hyperbolic plane H
+SPARSE_BLOCKS = ([[1]], [[-1]], [[2]], [[-2]], [[3]], [[0, 1], [1, 0]])
+
+
+@st.composite
+def sparse_forms(draw):
+    """Orthogonal sums of up to 12 blocks from SPARSE_BLOCKS, permuted and
+    then changed by a few congruences e_j <- e_j + a*e_i (a = +-1), each
+    unimodular.  The <+-2> and <3> pivots make d != prev, and an H block
+    that no congruence touched keeps its zero diagonal, which takes the
+    elimination through its e_i <- e_i + e_j branch."""
+    blocks = draw(st.lists(st.sampled_from(SPARSE_BLOCKS), min_size=1, max_size=12))
+    n = sum(len(b) for b in blocks)
+    M = [[0] * n for _ in range(n)]
+    k = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            M[k + i][k:k + len(row)] = row
+        k += len(b)
+    perm = draw(st.permutations(range(n)))
+    M = [[M[a][b] for b in perm] for a in perm]
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, n))):
+        i, j, a = draw(index), draw(index), draw(st.sampled_from((-1, 1)))
+        if i != j:
+            for row in M:  # column j += a * column i
+                row[j] += a * row[i]
+            M[j] = [x + a * y for x, y in zip(M[j], M[i])]  # row j += a * row i
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_forms())
+def test_lazy_bareiss_matches_the_eager_reference_on_sparse_forms(M):
+    got = _symmetric_bareiss(M)
+    assert got == symmetric_bareiss_reference(M)
+    assert got == (signature_fraction(M), det_exact(M))
+
+
+def test_lazy_bareiss_scales_a_stale_row_before_reading_its_pivot_entry():
+    # read unscaled, a stale row's pivot-column entry gives a wrong
+    # elimination on this matrix
+    M = [
+        [-1, 0, 0, -3, 2, -1],
+        [0, 0, 2, 1, 5, 0],
+        [0, 2, -3, 0, 0, 0],
+        [-3, 1, 0, 0, 5, 0],
+        [2, 5, 0, 5, -3, 5],
+        [-1, 0, 0, 0, 5, 0],
+    ]
+    assert _symmetric_bareiss(M) == symmetric_bareiss_reference(M) == (0, -676)
+    assert (signature_fraction(M), det_exact(M)) == (0, -676)
+
+
+@pytest.mark.parametrize(
+    "M, expected",
+    [
+        ([], (0, 1)),
+        ([[0, 1], [1, 0]], (0, -1)),
+        ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], (0, 1)),
+        ([[2, 0], [0, 3]], (2, 6)),
+        ([[-2, 0, 0], [0, 3, 0], [0, 0, 0]], (0, 0)),
+    ],
+    ids=["empty", "H", "H+H", "<2>+<3>", "singular"],
+)
+def test_lazy_bareiss_small_cases(M, expected):
+    assert _symmetric_bareiss(M) == symmetric_bareiss_reference(M) == expected
 
 
 def _unit_triangular(n, rng, lower):
@@ -320,6 +392,21 @@ def test_pairings_reject_what_int_would_truncate(entry):
         pairing([1, 0], [entry, 0], Q)
     with pytest.raises(ValueError, match="must be integers"):
         is_characteristic([entry, 1], Q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_forms(), st.data())
+def test_pairing_is_symmetric_on_sparse_and_dense_vectors(M, data):
+    # the outer sum runs over the sparser vector, so both orders are
+    # checked with a sparse class against a dense one and against another
+    # sparse one
+    Q, n = SymmetricForm(M), len(M)
+    dense = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    sparse = [0] * n
+    for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        sparse[i] = data.draw(st.integers(-3, 3))
+    for c, a in ((dense, sparse), (sparse, dense), (sparse, sparse[::-1]), (dense, dense)):
+        assert pairing(c, a, Q) == pairing(a, c, Q) == pairing_entrywise(c, a, Q)
 
 
 def test_pairings_accept_integral_floats_and_numpy_ints():
