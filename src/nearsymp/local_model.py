@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -34,6 +35,9 @@ _BASIS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_ROWS, _PAIR_COLS = (list(v) for v in zip(*_BASIS_PAIRS))
 
 Form = tuple[float, float, float, float, float, float]
+
+# the math functions of ProfileCurve.lutz_point, bound once
+_exp, _atan2, _sqrt, _cos, _sin, _PI = math.exp, math.atan2, math.sqrt, math.cos, math.sin, math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +150,10 @@ class ProfileCurve:
     [T1, T2] x [0, RB0], which contains the declared fold disk of radius
     fold_radius around (1/2, 0).
 
-    ``phi_jet`` gives phi with its four partials by the chain rule through
-    these zones; it is the only derivative of phi in the package, and
-    ``phi`` is its value part.
+    ``zone_jet`` gives phi with its four partials by the chain rule through
+    one zone's formulas and ``phi_jet`` picks each point's zone; they are
+    the only derivative of phi in the package, and ``phi`` is the value
+    part of ``phi_jet``.
     """
 
     eps: float = 1.0
@@ -162,7 +167,10 @@ class ProfileCurve:
     def __post_init__(self):
         if self.eps <= 0 or self.delta <= 0:
             raise ValueError("eps and delta must be positive")
-        object.__setattr__(self, "rho_max", self.eps**2 / 2.0)
+        try:
+            object.__setattr__(self, "rho_max", self.eps**2 / 2.0)
+        except OverflowError:
+            raise ValueError(f"eps = {self.eps} is too large: eps^2 overflows") from None
         object.__setattr__(self, "RB0", 0.24 * self.rho_max)
         object.__setattr__(self, "RB1", 0.7 * self.rho_max)
         object.__setattr__(self, "kappa", 0.5 / self.rho_max)
@@ -203,8 +211,12 @@ class ProfileCurve:
         a, b = self.T0 + SPINE_EDGE, self.T1 - SPINE_EDGE
         G = math.exp(self.T0) + k * (np.clip(tc, a, b) - a)
         for lo, hi in ((self.T0, np.minimum(tc, a)), (b, np.maximum(tc, b))):
-            x = 0.5 * (hi[..., None] - lo) * self._qx + 0.5 * (hi[..., None] + lo)
-            G = G + 0.5 * (hi - lo) * np.sum(self._qw * self._spine_rate(x, k), axis=-1)
+            # every t on the plateau has the same limit: each distinct one
+            # is integrated once
+            hi, back = np.unique(hi, return_inverse=True)
+            x = 0.5 * (hi[:, None] - lo) * self._qx + 0.5 * (hi[:, None] + lo)
+            part = 0.5 * (hi - lo) * np.sum(self._qw * self._spine_rate(x, k), axis=-1)
+            G = G + part[back.reshape(tc.shape)]
         return G
 
     # -- cartesian base: wall -> blend -> fold, valid at every rho ----------
@@ -267,16 +279,21 @@ class ProfileCurve:
     def lutz_point(self, rho: float) -> tuple[float, float]:
         """``lutz_profile`` at one Python float, line for line in ``math``:
         the smooth_step clamp and floors, the angle of ``_twist`` and the
-        radius.  ``rho * rho`` rather than ``rho**2``: float ``**``
-        raises OverflowError where numpy gives inf."""
-        u = min(max(rho / self.RB1, 0.0), 1.0)
-        a = math.exp(-1.0 / max(u, 1e-300))
-        b = math.exp(-1.0 / max(1.0 - u, 1e-300))
+        radius.  Each clamp and floor is a conditional that picks what the
+        builtin min or max would, NaN included: the first operand unless the
+        second lies strictly past it.  ``rho * rho`` rather than ``rho**2``:
+        float ``**`` raises OverflowError where numpy gives inf."""
+        u = rho / self.RB1
+        u = 0.0 if 0.0 > u else u
+        u = 1.0 if 1.0 < u else u
+        a = _exp(-1.0 / (1e-300 if 1e-300 > u else u))
+        v = 1.0 - u
+        b = _exp(-1.0 / (1e-300 if 1e-300 > v else v))
         s = a / (a + b)
-        sigma = self.kappa * rho + (1.0 - self.kappa * rho) * s
-        angle = math.atan2(rho, 1.0) - math.pi * (1.0 - sigma)
-        r = math.sqrt(1.0 + rho * rho)
-        return r * math.cos(angle), r * math.sin(angle)
+        kr = self.kappa * rho
+        angle = _atan2(rho, 1.0) - _PI * (1.0 - (kr + (1.0 - kr) * s))
+        r = _sqrt(1.0 + rho * rho)
+        return r * _cos(angle), r * _sin(angle)
 
     # -- the assembled map --------------------------------------------------
 
@@ -285,8 +302,9 @@ class ProfileCurve:
         return self.phi_jet(t, rho)[:2]
 
     def _polar(self, t, rho, base, th_wall, th_wall_r):
-        """(pu, pv, lam_t, lam_r, th_t, th_r) of the polar zone: the base's
-        log-polar coordinates blended into the standard ones across rho and
+        """The polar zone's jet (pu, pv, pu_t, pu_rho, pv_t, pv_rho):
+        (pu, pv) = exp(lam) (cos th, sin th), with the base's log-polar
+        coordinates (lam, th) blended into the standard ones across rho and
         into the twisted wall's angle across t."""
         bu, bv, bu_t, bu_r, bv_t, bv_r = base
         n2 = bu * bu + bv * bv
@@ -317,57 +335,57 @@ class ProfileCurve:
         th_t = (1 - w) * tm_t + w_t * (th_wall - th_mid)
         th_r = (1 - w) * tm_r + w * th_wall_r
         radius = np.exp(lam)
+        pu, pv = radius * np.cos(th), radius * np.sin(th)
         # d(pu + i pv) = (pu + i pv)(dlam + i dth)
-        return radius * np.cos(th), radius * np.sin(th), lam_t, lam_r, th_t, th_r
+        return (
+            pu, pv, pu * lam_t - pv * th_t, pu * lam_r - pv * th_r,
+            pv * lam_t + pu * th_t, pv * lam_r + pu * th_r,
+        )
+
+    def zone_jet(self, zone: str, t, rho):
+        """phi = (u, v) = (g, f) with its partials (u, v, u_t, u_rho, v_t,
+        v_rho) by one zone's formulas, t broadcast against rho, whether or
+        not the points lie in the zone.  The zones of ``phi_jet``: "wall" is
+        e^t (1, rho), "twisted" e^t (g1, f1), "core" the base with the fold
+        formula from T1 on, "polar" exp(lam) (cos th, sin th)."""
+        t = np.asarray(t, dtype=float)
+        rho = np.asarray(rho, dtype=float)
+        if zone == "wall":
+            et = np.exp(t)
+            return et, et * rho, et, 0.0, et * rho, et
+        if zone == "twisted":
+            et = np.exp(t)
+            g1, f1, g1_r, f1_r = self._at_twist(rho, *self._twist(rho))
+            return et * g1, et * f1, et * g1, et * g1_r, et * f1, et * f1_r
+        if zone == "core":
+            # the fold formula verbatim, exact to the bit; its partials
+            # (-2 (t-1/2), 1) are the base's own for t >= T1
+            bu, *rest = self._base(t, rho)
+            return (np.where(t >= self.T1, rho - (t - 0.5) ** 2 + 1 + self.delta, bu), *rest)
+        if zone == "polar":
+            return self._polar(t, rho, self._base(t, rho), *self._twist(rho))
+        raise ValueError(f"unknown zone {zone!r}")
 
     def phi_jet(self, t, rho):
         """phi = (u, v) = (g, f) with its partials: (u, v, u_t, u_rho, v_t,
-        v_rho), t broadcast against rho.  Each partial is the chain rule
-        through the same zones and blends as the value.  A zone's formulas
-        run only when some point of the broadcast input lies in it."""
+        v_rho), t broadcast against rho.  Each point takes ``zone_jet`` of
+        the first zone it lies in: the wall (t <= T0 or rho >= RB1), the
+        twisted wall (t >= T3), the core (t <= T2 and rho <= RB0), else the
+        polar zone.  A zone's jet runs only when some point lies in it; the
+        blends are flat at the zone edges, so the pieces join smoothly."""
         t = np.asarray(t, dtype=float)
         rho = np.asarray(rho, dtype=float)
         wall = (t <= self.T0) | (rho >= self.RB1)
         twisted = t >= self.T3
         core = (t <= self.T2) & (rho <= self.RB0)
         inner = ~(wall | twisted)
-        has_twisted = (twisted & ~wall).any()
-        has_core = (inner & core).any()
-        has_polar = (inner & ~core).any()
+        zones = {"wall": wall, "twisted": twisted & ~wall, "core": inner & core,
+                 "polar": inner & ~core}
         # an absent zone's terms are 0.0, which np.where never picks
-        base = self._base(t, rho) if has_core or has_polar else (0.0,) * 6
-        th_wall, th_wall_r = self._twist(rho) if has_twisted or has_polar else (0.0, 0.0)
-        pu, pv, lam_t, lam_r, th_t, th_r = (
-            self._polar(t, rho, base, th_wall, th_wall_r) if has_polar else (0.0,) * 6
-        )
-        # exact branches (values agree with the blends, which are flat there;
-        # returning the closed forms keeps the walls and the fold zone exact);
-        # the fold formula is spelled out verbatim so it is exact to the bit.
-        # Its partials (-2 (t-1/2), 1) are the base's own for t >= T1.
-        bu, bv, bu_t, bu_r, bv_t, bv_r = base
-        if has_core:
-            bu = np.where(t >= self.T1, rho - (t - 0.5) ** 2 + 1 + self.delta, bu)
-        g1, f1, g1_r, f1_r = (
-            self._at_twist(rho, th_wall, th_wall_r) if has_twisted else (0.0,) * 4
-        )
-
-        def zones(on_wall, on_twisted, on_core, polar):
-            return np.where(
-                wall,
-                on_wall,
-                np.where(twisted, on_twisted, np.where(core, on_core, polar)),
-            )
-
-        # phi = e^t (1, rho) on the wall, e^t (g1, f1) on the twisted wall,
-        # the base in the core and exp(lam) (cos th, sin th) elsewhere
-        et = np.exp(t)
-        return (
-            zones(et, et * g1, bu, pu),
-            zones(et * rho, et * f1, bv, pv),
-            zones(et, et * g1, bu_t, pu * lam_t - pv * th_t),
-            zones(0.0, et * g1_r, bu_r, pu * lam_r - pv * th_r),
-            zones(et * rho, et * f1, bv_t, pv * lam_t + pu * th_t),
-            zones(et, et * f1_r, bv_r, pv * lam_r + pu * th_r),
+        jets = [self.zone_jet(z, t, rho) if m.any() else (0.0,) * 6 for z, m in zones.items()]
+        return tuple(
+            np.where(wall, on_wall, np.where(twisted, on_twisted, np.where(core, on_core, polar)))
+            for on_wall, on_twisted, on_core, polar in zip(*jets)
         )
 
 
@@ -395,8 +413,12 @@ def contact_profile(kind: str, rho: float, eps: float) -> tuple[float, float]:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not 0 <= rho <= eps**2 / 2:
-        raise ValueError(f"rho = {rho} outside [0, {eps ** 2 / 2}]")
+    try:
+        rho_max = eps**2 / 2
+    except OverflowError:
+        raise ValueError(f"eps = {eps} is too large: eps^2 overflows") from None
+    if not 0 <= rho <= rho_max:
+        raise ValueError(f"rho = {rho} outside [0, {rho_max}]")
     if kind == "standard":
         return (float(rho), 1.0)
     if kind == "lutz":
@@ -416,11 +438,12 @@ def contact_positivity(
     step ``h`` (the battery's is ``certify_cli.POSITIVITY_STEP``)."""
     rho = np.linspace(0.0, rho_max, samples)
     rc = np.clip(rho, h, rho_max - h)
-    # Python floats, not numpy scalars: the lutz profile evaluates them in
-    # math, without numpy's per-call cost
-    fp = np.array([profile(v) for v in (rc + h).tolist()])
-    fm = np.array([profile(v) for v in (rc - h).tolist()])
-    f0 = np.array([profile(v) for v in rc.tolist()])
+    # the stencil rc + h, rc - h, rc as Python floats, not numpy scalars:
+    # the lutz profile evaluates them in math, without numpy's per-call
+    # cost.  The (f, g) pairs stream into one array
+    x = np.concatenate((rc + h, rc - h, rc)).tolist()
+    pairs = np.fromiter(chain.from_iterable(map(profile, x)), float, 2 * len(x))
+    fp, fm, f0 = pairs.reshape(3, samples, 2)
     df = (fp[:, 0] - fm[:, 0]) / (2 * h)
     dg = (fp[:, 1] - fm[:, 1]) / (2 * h)
     val = f0[:, 1] * df - f0[:, 0] * dg
@@ -432,8 +455,8 @@ def contact_positivity(
 # ---------------------------------------------------------------------------
 
 
-# rows of t per block of the immersion check: bounds its temporaries to
-# _IMMERSION_BLOCK x grid
+# full grid lines per block of the immersion check: each block holds at most
+# _IMMERSION_BLOCK x grid points, which bounds its temporaries
 _IMMERSION_BLOCK = 64
 # the immersion check skips the disk of this radius around the fold point (1/2, 0)
 FOLD_EXCLUSION = 0.05
@@ -441,21 +464,37 @@ FOLD_EXCLUSION = 0.05
 
 def phi_immersion_check(P: ProfileCurve, grid: int = 200) -> float:
     """Minimum Jacobian determinant u_t v_rho - u_rho v_t of phi, from
-    ``ProfileCurve.phi_jet``, over the grid x grid points of [0, 1] x
+    ``ProfileCurve.zone_jet``, over the grid x grid points of [0, 1] x
     [0, rho_max] outside the disk of radius FOLD_EXCLUSION around the fold
     point (1/2, 0); NaN if the determinant is NaN at any of those points."""
-    # t along axis 0 and rho along axis 1 as broadcast shapes (block, 1) and
-    # (1, grid): every term that depends on one variable only (the spine
+    # t along axis 0 and rho along axis 1 as broadcast shapes (rows, 1) and
+    # (1, columns): every term that depends on one variable only (the spine
     # quadrature above all) is computed once per grid line, not per point
     t = np.linspace(0.0, 1.0, grid)[:, None]
     r = np.linspace(0.0, P.rho_max, grid)[None, :]
+    # each zone of phi_jet is cut out by thresholds on t and rho, and both
+    # axes increase, so it is a union of rectangles of whole grid lines;
+    # each zone's jet runs on its own rectangles only
+    i0, i2 = np.searchsorted(t[:, 0], (P.T0, P.T2), side="right")
+    i3 = np.searchsorted(t[:, 0], P.T3, side="left")
+    j0 = np.searchsorted(r[0], P.RB0, side="right")
+    j1 = np.searchsorted(r[0], P.RB1, side="left")
+    rectangles = (
+        ("wall", 0, i0, 0, grid), ("wall", i0, grid, j1, grid), ("twisted", i3, grid, 0, j1),
+        ("core", i0, i2, 0, j0), ("polar", i0, i2, j0, j1), ("polar", i2, i3, 0, j1),
+    )
     block_minima = []
-    for i in range(0, grid, _IMMERSION_BLOCK):
-        tb = t[i:i + _IMMERSION_BLOCK]
-        _, _, u_t, u_r, v_t, v_r = P.phi_jet(tb, r)
-        det = u_t * v_r - u_r * v_t
-        mask = (tb - 0.5) ** 2 + r**2 > FOLD_EXCLUSION**2
-        block_minima.append(np.where(mask, det, np.inf).min())
+    for zone, row0, row1, col0, col1 in rectangles:
+        if col0 == col1:
+            continue
+        rc = r[:, col0:col1]
+        rows = _IMMERSION_BLOCK * grid // (col1 - col0)
+        for i in range(row0, row1, rows):
+            tb = t[i:min(i + rows, row1)]
+            _, _, u_t, u_r, v_t, v_r = P.zone_jet(zone, tb, rc)
+            det = u_t * v_r - u_r * v_t
+            mask = (tb - 0.5) ** 2 + rc**2 > FOLD_EXCLUSION**2
+            block_minima.append(np.where(mask, det, np.inf).min())
     # np.min, not Python's min: a NaN block minimum stays NaN
     return float(np.min(block_minima))
 

@@ -501,6 +501,47 @@ def twisted_profile_reference(P, rho):
     )
 
 
+def spine_left_reference(P, t, k):
+    """The left spine e^T0 + integral of the rate at plateau k from T0 to
+    t, t clipped to [T0, T1], with both switches' Gauss-Legendre sums taken
+    at every t, the plateau's included."""
+    from nearsymp.local_model import SPINE_EDGE
+
+    tc = np.clip(np.asarray(t, dtype=float), P.T0, P.T1)
+    a, b = P.T0 + SPINE_EDGE, P.T1 - SPINE_EDGE
+    G = math.exp(P.T0) + k * (np.clip(tc, a, b) - a)
+    for lo, hi in ((P.T0, np.minimum(tc, a)), (b, np.maximum(tc, b))):
+        x = 0.5 * (hi[..., None] - lo) * P._qx + 0.5 * (hi[..., None] + lo)
+        G = G + 0.5 * (hi - lo) * np.sum(P._qw * P._spine_rate(x, k), axis=-1)
+    return G
+
+
+def lutz_point_reference(P, rho: float) -> tuple[float, float]:
+    """(g1, f1) of the twisted profile at one Python float, in ``math`` with
+    the builtin min and max for the smooth_step clamp and floors."""
+    u = min(max(rho / P.RB1, 0.0), 1.0)
+    a = math.exp(-1.0 / max(u, 1e-300))
+    b = math.exp(-1.0 / max(1.0 - u, 1e-300))
+    s = a / (a + b)
+    sigma = P.kappa * rho + (1.0 - P.kappa * rho) * s
+    angle = math.atan2(rho, 1.0) - math.pi * (1.0 - sigma)
+    r = math.sqrt(1.0 + rho * rho)
+    return r * math.cos(angle), r * math.sin(angle)
+
+
+def contact_positivity_reference(profile, rho_max: float, samples: int, *, h: float) -> float:
+    """Minimum of g f' - f g' by central differences of step h, one list of
+    (f, g) tuples per stencil row turned into an array by np.array."""
+    rho = np.linspace(0.0, rho_max, samples)
+    rc = np.clip(rho, h, rho_max - h)
+    fp = np.array([profile(v) for v in (rc + h).tolist()])
+    fm = np.array([profile(v) for v in (rc - h).tolist()])
+    f0 = np.array([profile(v) for v in rc.tolist()])
+    df = (fp[:, 0] - fm[:, 0]) / (2 * h)
+    dg = (fp[:, 1] - fm[:, 1]) / (2 * h)
+    return float((f0[:, 1] * df - f0[:, 0] * dg).min())
+
+
 # ---------------------------------------------------------------------------
 # Hodge star on 2-forms for a general metric
 # ---------------------------------------------------------------------------

@@ -33,16 +33,19 @@ from nearsymp.local_model import (
 
 from oracles import (
     J_near_reference,
+    contact_positivity_reference,
     d_omega_numeric_reference,
     form_matrix_loop,
     hodge_star_general,
     hodge_star_scaled,
+    lutz_point_reference,
     metric_factor_reference,
     phi_jet_all_zones,
     phi_jet_spine_everywhere,
     phi_partials_central,
     smooth_step_derivative_decimal,
     smooth_step_where,
+    spine_left_reference,
     twisted_profile_reference,
 )
 
@@ -203,6 +206,10 @@ def test_profile_rejects_out_of_range():
         contact_profile("other", 0.1, 1.0)
     with pytest.raises(ValueError):
         contact_profile("standard", 0.1, -1.0)
+    # eps^2 overflows a float: a ValueError naming eps, not an OverflowError
+    for kind in ("standard", "lutz"):
+        with pytest.raises(ValueError, match="eps"):
+            contact_profile(kind, 0.1, 1e200)
 
 
 @pytest.mark.parametrize("eps", [0.002, 0.05, 0.6, 1.0, 1.5, 30.0])
@@ -220,6 +227,32 @@ def test_lutz_point_matches_lutz_profile(eps):
     for kind in ("standard", "lutz"):
         for r in (0.0, np.float64(P.RB1), P.rho_max):
             assert all(type(v) is float for v in contact_profile(kind, r, eps))
+
+
+@pytest.mark.parametrize("eps", [0.002, 0.05, 0.6, 1.0, 1.5, 30.0])
+def test_lutz_point_matches_the_reference_bits(eps):
+    # the conditional clamps against builtin min and max: the 2000-point
+    # grid, both ends, the seam RB1 and one ulp on either side, and inputs
+    # outside the profile's domain where a clamp or NaN decides
+    P = ProfileCurve(eps=eps)
+    seam = [P.RB1, math.nextafter(P.RB1, 0.0), math.nextafter(P.RB1, math.inf)]
+    outside = [-0.0, -1.0, math.nan, math.inf, 1e300]
+    grid = np.linspace(0.0, P.rho_max, 2000).tolist()
+    for r in [0.0, P.rho_max, *seam, *outside, *grid]:
+        got, want = P.lutz_point(r), lutz_point_reference(P, r)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), r
+
+
+@pytest.mark.parametrize("eps", [0.6, 1.0, 1.5, 30.0])
+@pytest.mark.parametrize("kind", ["standard", "lutz"])
+def test_contact_positivity_matches_the_reference_bits(eps, kind):
+    def profile(r):
+        return contact_profile(kind, r, eps)
+
+    rho_max = ProfileCurve(eps=eps).rho_max
+    got = contact_positivity(profile, rho_max, 2000, h=POSITIVITY_STEP)
+    assert got == contact_positivity_reference(profile, rho_max, 2000, h=POSITIVITY_STEP)
 
 
 @pytest.mark.parametrize("eps", [0.002, 0.6, 1.0, 1.5, 30.0])
@@ -287,11 +320,11 @@ def test_phi_immersion_on_coarse_grid():
 
 
 def _nan_row_curve(nan_t: float) -> ProfileCurve:
-    """The profile curve with a NaN jet on the grid line t = nan_t."""
+    """The profile curve with a NaN zone jet on the grid line t = nan_t."""
 
     class NaNRowCurve(ProfileCurve):
-        def phi_jet(self, t, rho):
-            jet = super().phi_jet(t, rho)
+        def zone_jet(self, zone, t, rho):
+            jet = super().zone_jet(zone, t, rho)
             return tuple(np.where(np.asarray(t) == nan_t, np.nan, part) for part in jet)
 
     return NaNRowCurve()
@@ -299,9 +332,9 @@ def _nan_row_curve(nan_t: float) -> ProfileCurve:
 
 @pytest.mark.parametrize("row", [0, 100, 129])
 def test_phi_immersion_check_keeps_a_nan(row):
-    # grid 130 makes blocks of 64, 64 and 2 rows: a NaN in the first, the
-    # middle and the last block must all reach the minimum, which Python's
-    # min(lowest, nan) dropped
+    # row 0 lies in the left wall, row 100 in the polar zone and the outer
+    # wall, row 129 in the twisted and the outer wall: a NaN in each must
+    # reach the minimum, which Python's min(lowest, nan) dropped
     curve = _nan_row_curve(float(np.linspace(0.0, 1.0, 130)[row]))
     assert math.isnan(phi_immersion_check(curve, grid=130))
 
@@ -314,7 +347,12 @@ def test_min_jacobian_det_at_grid_200():
     assert abs(phi_immersion_check(P, grid=200) - expected) <= 1e-15 * expected
 
 
-IMMERSION_CURVES = [(1.0, 0.2), (0.6, 0.1), (1.5, 0.3), (0.83, 0.17)]
+# at (1.0, 1.0) the minimum, about -1.72, lies in the polar zone
+IMMERSION_CURVES = [(1.0, 0.2), (0.6, 0.1), (1.5, 0.3), (0.83, 0.17), (1.0, 1.0)]
+# grids with a line exactly on a zone edge: 21 on T0 and T1, 26 on T1, T2
+# and (most curves) RB0, 61 on T0, T3 and (most curves) RB1, 76 on RB0 at
+# eps = 0.6
+EDGE_GRIDS = [21, 26, 61, 76]
 
 
 def _meshgrid(curve, grid):
@@ -324,9 +362,59 @@ def _meshgrid(curve, grid):
 
 
 @pytest.mark.parametrize("eps,delta", IMMERSION_CURVES)
-@pytest.mark.parametrize("grid", [2, 3, 80, 200])
+def test_edge_grids_put_a_line_on_every_zone_edge(eps, delta):
+    curve = ProfileCurve(eps=eps, delta=delta)
+    landed = set()
+    for grid in EDGE_GRIDS:
+        T, R = _meshgrid(curve, grid)
+        for name in ("T0", "T2", "T3"):
+            if np.any(T[:, 0] == getattr(curve, name)):
+                landed.add(name)
+        for name in ("RB0", "RB1"):
+            if np.any(R[0] == getattr(curve, name)):
+                landed.add(name)
+    assert landed == {"T0", "T2", "T3", "RB0", "RB1"}
+
+
+@pytest.mark.parametrize("eps,delta", IMMERSION_CURVES)
+@pytest.mark.parametrize("grid", [2, 3, *EDGE_GRIDS, 200])
+def test_immersion_zone_walk_covers_each_point_once_with_its_phi_jet(eps, delta, grid, monkeypatch):
+    # every grid point is evaluated exactly once, by the zone phi_jet puts
+    # it in, and its jet there equals phi_jet's on the whole grid bit for bit
+    curve = ProfileCurve(eps=eps, delta=delta)
+    T, R = _meshgrid(curve, grid)
+    full = curve.phi_jet(T, R)
+    wall = (T <= curve.T0) | (R >= curve.RB1)
+    twisted = ~wall & (T >= curve.T3)
+    core = ~wall & ~twisted & (T <= curve.T2) & (R <= curve.RB0)
+    expected = np.select([wall, twisted, core], ["wall", "twisted", "core"], "polar")
+    visits = np.zeros(T.shape, dtype=int)
+    zone_jet = ProfileCurve.zone_jet
+
+    def checked(self, zone, t, rho):
+        jet = zone_jet(self, zone, t, rho)
+        rows = np.searchsorted(T[:, 0], np.ravel(t))
+        cols = np.searchsorted(R[0], np.ravel(rho))
+        block = np.ix_(rows, cols)
+        assert np.array_equal(T[:, 0][rows], np.ravel(t))
+        assert np.array_equal(R[0][cols], np.ravel(rho))
+        assert np.all(expected[block] == zone)
+        visits[block] += 1
+        for got, want in zip(jet, full):
+            got = np.broadcast_to(got, want[block].shape)
+            assert got.tobytes() == want[block].tobytes(), zone
+        return jet
+
+    monkeypatch.setattr(ProfileCurve, "zone_jet", checked)
+    phi_immersion_check(curve, grid=grid)
+    assert np.all(visits == 1)
+
+
+@pytest.mark.parametrize("eps,delta", IMMERSION_CURVES)
+@pytest.mark.parametrize("grid", [2, 3, *EDGE_GRIDS, 80, 200])
 def test_phi_immersion_check_equals_meshgrid_reference(eps, delta, grid):
-    # grids 2 and 3 are one short block, 80 and 200 end on a partial block
+    # grids 2 and 3 are single lines of each zone, the edge grids put lines
+    # on the zone edges, 80 and 200 are the local-check and certify grids
     curve = ProfileCurve(eps=eps, delta=delta)
     T, R = _meshgrid(curve, grid)
     _, _, u_t, u_r, v_t, v_r = curve.phi_jet(T, R)
@@ -378,6 +466,18 @@ def test_left_spine_lands_on_the_fold_with_a_positive_rate(eps, delta):
     at = np.array(curve.phi(curve.T1, rho))
     assert np.abs(before - at).max() <= 1e-12
     assert curve._spine_rate(np.linspace(curve.T0, curve.T1, 10_000), k).min() > 0
+
+
+@pytest.mark.parametrize("eps,delta", IMMERSION_CURVES)
+def test_spine_integrates_each_distinct_limit_once_to_the_same_bits(eps, delta):
+    # the plateau's t share one quadrature; the reference runs it at each t
+    curve = ProfileCurve(eps=eps, delta=delta)
+    k = curve.plateau_rate
+    t = np.concatenate([np.linspace(0.0, 1.0, 401), [curve.T0, curve.T1]])
+    for args in ((t, k), (t[:, None], k), (curve.T1, 0.0), (curve.T1, 1.0), (0.2, k)):
+        got, want = curve._spine_left(*args), spine_left_reference(curve, *args)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _spine_inputs(curve):
@@ -473,6 +573,8 @@ def test_profile_curve_rejects_bad_parameters():
         ProfileCurve(eps=0.0)
     with pytest.raises(ValueError):
         ProfileCurve(delta=-1.0)
+    with pytest.raises(ValueError, match="eps"):
+        ProfileCurve(eps=1e200)
     # below delta ~ 0.0804 the spine's plateau rate is not positive
     with pytest.raises(ValueError, match="left spine"):
         ProfileCurve(delta=0.08)
